@@ -8,7 +8,7 @@ arguments are file paths (``-`` for stdin) in the text or JSON format of
 Exit codes: 0 success, 1 usage error, 2 unparseable input (with
 ``line:column`` diagnostics).  Flag defaults honor environment variables
 ``SIMPLEXFIX_FORMAT``, ``SIMPLEXFIX_SEED``, ``SIMPLEXFIX_SAMPLES`` and
-``SIMPLEXFIX_THREADS``.  Identical invocations print byte-identical
+``SIMPLEXFIX_THREADS``; a malformed value is a usage error.  Identical invocations print byte-identical
 output regardless of ``--threads``.
 """
 
@@ -47,13 +47,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_default(name: str, fallback, cast=str):
+    """Flag default from ``SIMPLEXFIX_<name>``; a malformed value is a
+    usage error (ValueError naming the variable)."""
     raw = os.environ.get(f"SIMPLEXFIX_{name}")
     if raw is None:
         return fallback
     try:
         return cast(raw)
     except ValueError:
-        return fallback
+        raise ValueError(
+            f"environment variable SIMPLEXFIX_{name}={raw!r} is not a valid {cast.__name__}"
+        ) from None
 
 
 def _add_common(parser: _Parser) -> None:
@@ -277,7 +281,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        print(f"simplexfix: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

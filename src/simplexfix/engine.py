@@ -21,8 +21,10 @@ soon as one extension is, fixed when all extensions are fixed with one
 common sign.
 
 Verdicts carry replayable certificates (plain dicts, JSON-ready).  The
-memo table for n >= 4 is keyed by canonical form with the sign
-transported through the group element's parity; concurrent insert-or-get
+memo table for n >= 4 is keyed by canonical code (see
+:mod:`simplexfix.equivalence`) with the sign transported through the group
+element's parity; expansion children reach it straight from their
+sequences, without building a Configuration.  Concurrent insert-or-get
 races are benign because stored values are canonical.
 """
 
@@ -72,8 +74,8 @@ class FixityVerdict:
     """Outcome of a fixity decision.
 
     ``sign`` is PLUS or MINUS for FIXED, BOTH for NON_FIXED, None for
-    UNKNOWN.  ``frontier`` marks n >= 5 UNKNOWNs where the decision
-    procedure is only conjectured complete.
+    UNKNOWN.  ``frontier`` marks n >= 5 UNKNOWNs, where the semi-decision
+    found no certificate; such a configuration may be fixed or non-fixed.
     """
 
     status: Status
@@ -117,15 +119,15 @@ def verify_witness(pair: WitnessPair, cfg: Configuration) -> bool:
 
 
 class _Lin:
-    """Sequences and position maps of a linear configuration."""
+    """Label names, axis names and per-axis sequences of a linear
+    configuration."""
 
-    __slots__ = ("labels", "axes", "seqs", "pos")
+    __slots__ = ("labels", "axes", "seqs")
 
     def __init__(self, labels, axes, seqs):
         self.labels = labels
         self.axes = axes
         self.seqs = seqs
-        self.pos = tuple({lab: i for i, lab in enumerate(seq)} for seq in seqs)
 
     @classmethod
     def of(cls, cfg: Configuration) -> "_Lin":
@@ -134,22 +136,20 @@ class _Lin:
         return cls(cfg.labels, cfg.axes, tuple(o.sequence() for o in cfg.orders))
 
     def drop(self, label, axis_index: int) -> "_Lin":
-        labels = tuple(l for l in self.labels if l != label)
-        axes = tuple(a for i, a in enumerate(self.axes) if i != axis_index)
-        seqs = tuple(
-            tuple(l for l in seq if l != label)
-            for i, seq in enumerate(self.seqs)
-            if i != axis_index
+        return _Lin(
+            _without(self.labels, self.labels.index(label)),
+            _without(self.axes, axis_index),
+            tuple(_without(seq, seq.index(label)) for seq in _without(self.seqs, axis_index)),
         )
-        return _Lin(labels, axes, seqs)
 
     def diff(self, e, f, axis_index: int) -> FormalSign:
         """Sign of ``x_{e} - x_{f}`` on the axis, definite for linear orders."""
-        p = self.pos[axis_index]
-        return FormalSign.PLUS if p[f] < p[e] else FormalSign.MINUS
+        seq = self.seqs[axis_index]
+        return FormalSign.PLUS if seq.index(f) < seq.index(e) else FormalSign.MINUS
 
-    def to_configuration(self) -> Configuration:
-        return Configuration.from_sequences(self.labels, self.axes, self.seqs)
+
+def _without(items: tuple, index: int) -> tuple:
+    return items[:index] + items[index + 1 :]
 
 
 def _conformal_seqs(a: Sequence, b: Sequence) -> bool:
@@ -269,11 +269,33 @@ def _child_verdict(lin: _Lin, label, axis_index: int) -> FixityVerdict:
     n = len(sub.labels)
     if n == 2:
         first, second = sub.labels
-        sign = ConfigSign.PLUS if sub.pos[0][first] < sub.pos[0][second] else ConfigSign.MINUS
+        sign = ConfigSign.PLUS if sub.seqs[0][0] == first else ConfigSign.MINUS
         return FixityVerdict(Status.FIXED, sign, {"type": "dim1", "sign": str(sign)})
     if n == 3:
         return _dim2_verdict(sub)
-    return _decide_linear(sub.to_configuration())
+    return _decide_memoized(sub)
+
+
+def _expansion_fixed(lin: _Lin, e_i, e_j, children, value: FormalSign) -> FixityVerdict:
+    """FIXED verdict with the certificate of a definite expansion sign."""
+    pivot_index = lin.labels.index(e_i) + 1
+    cert = {
+        "type": "expansion",
+        "pivot": [e_i, e_j],
+        "terms": [
+            {
+                "axis": lin.axes[a],
+                "parity": "+" if (pivot_index + a) % 2 == 0 else "-",
+                "diff": str(lin.diff(e_i, e_j, a)),
+                "child_status": child.status.value,
+                "child_sign": str(child.sign) if child.sign else None,
+                "child": child.certificate,
+            }
+            for a, child in enumerate(children)
+        ],
+        "sign": str(FormalSign(value.value)),
+    }
+    return FixityVerdict(Status.FIXED, ConfigSign(value.value), cert)
 
 
 def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
@@ -285,7 +307,10 @@ def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
     """
     if cfg.n() < 3:
         raise ValueError("expansion needs at least three labels")
-    lin = _Lin.of(cfg)
+    return _expansion_verdict(_Lin.of(cfg))
+
+
+def _expansion_verdict(lin: _Lin) -> FixityVerdict:
     k = len(lin.axes)
     for e_i in lin.labels:
         children = [_child_verdict(lin, e_i, a) for a in range(k)]
@@ -299,24 +324,7 @@ def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
                 continue
             value = _expansion_sign(lin, e_i, e_j, child_signs)
             if value.definite:
-                pivot_index = lin.labels.index(e_i) + 1
-                cert = {
-                    "type": "expansion",
-                    "pivot": [e_i, e_j],
-                    "terms": [
-                        {
-                            "axis": lin.axes[a],
-                            "parity": "+" if (pivot_index + a) % 2 == 0 else "-",
-                            "diff": str(lin.diff(e_i, e_j, a)),
-                            "child_status": children[a].status.value,
-                            "child_sign": str(children[a].sign) if children[a].sign else None,
-                            "child": children[a].certificate,
-                        }
-                        for a in range(k)
-                    ],
-                    "sign": str(FormalSign(value.value)),
-                }
-                return FixityVerdict(Status.FIXED, ConfigSign(value.value), cert)
+                return _expansion_fixed(lin, e_i, e_j, children, value)
     return FixityVerdict(Status.UNKNOWN, None, None)
 
 
@@ -348,7 +356,10 @@ def non_fixed_by_extreme_lemma(cfg: Configuration) -> FixityVerdict:
     non-fixed configuration; sound for NON_FIXED, complete at n = 4."""
     if cfg.n() < 3:
         raise ValueError("the extreme-element lemma needs at least three labels")
-    lin = _Lin.of(cfg)
+    return _lemma_verdict(_Lin.of(cfg))
+
+
+def _lemma_verdict(lin: _Lin) -> FixityVerdict:
     chain = _lemma_chain(lin)
     if chain is None:
         return FixityVerdict(Status.UNKNOWN, None, None)
@@ -391,8 +402,7 @@ def _dim3_fixed_search(lin: _Lin):
         ):
             continue
         d_below = tuple(
-            {lab: lin.pos[a][lab] < lin.pos[a][d_label] for lab in restr[a]}
-            for a in axis_range
+            frozenset(lin.seqs[a][: lin.seqs[a].index(d_label)]) for a in axis_range
         )
         for mask in range(8):
             rr = tuple(
@@ -407,7 +417,7 @@ def _dim3_fixed_search(lin: _Lin):
                     continue
                 for x_label in oz:
                     sides = [
-                        d_below[a][x_label] ^ bool(mask >> a & 1) for a in axis_range
+                        (x_label in d_below[a]) ^ bool(mask >> a & 1) for a in axis_range
                     ]
                     if sides[0] == sides[1] == sides[2]:
                         return d_label, x_label
@@ -423,10 +433,13 @@ def decide_dim3(cfg: Configuration) -> FixityVerdict:
     """
     if cfg.n() != 4:
         raise ValueError("decide_dim3 needs exactly four labels")
-    lin = _Lin.of(cfg)
+    return _dim3_verdict(_Lin.of(cfg))
+
+
+def _dim3_verdict(lin: _Lin) -> FixityVerdict:
     found = _dim3_fixed_search(lin)
     if found is None:
-        verdict = non_fixed_by_extreme_lemma(cfg)
+        verdict = _lemma_verdict(lin)
         if verdict.status is not Status.NON_FIXED:
             raise InternalCheckError("non-fixed n=4 configuration must satisfy the extreme lemma")
         return verdict
@@ -436,24 +449,7 @@ def decide_dim3(cfg: Configuration) -> FixityVerdict:
     value = _expansion_sign(lin, d_label, x_label, child_signs)
     if not value.definite:
         raise InternalCheckError("dim-3 fixed shape must yield a definite expansion sign")
-    pivot_index = lin.labels.index(d_label) + 1
-    cert = {
-        "type": "expansion",
-        "pivot": [d_label, x_label],
-        "terms": [
-            {
-                "axis": lin.axes[a],
-                "parity": "+" if (pivot_index + a) % 2 == 0 else "-",
-                "diff": str(lin.diff(d_label, x_label, a)),
-                "child_status": children[a].status.value,
-                "child_sign": str(children[a].sign) if children[a].sign else None,
-                "child": children[a].certificate,
-            }
-            for a in range(3)
-        ],
-        "sign": str(FormalSign(value.value)),
-    }
-    return FixityVerdict(Status.FIXED, ConfigSign(value.value), cert)
+    return _expansion_fixed(lin, d_label, x_label, children, value)
 
 
 def crosscheck_dim3(cfg: Configuration) -> FixityVerdict:
@@ -486,28 +482,6 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def _transport_verdict(status, canon_sign, inner_cert, rep_payload, g, frontier):
-    if status is Status.FIXED:
-        parity = equivalence.sign_parity(g)
-        sign = ConfigSign(parity.value * canon_sign.value)
-    elif status is Status.NON_FIXED:
-        sign = ConfigSign.BOTH
-    else:
-        sign = None
-    cert = None
-    if inner_cert is not None:
-        cert = {
-            "type": "equivalent",
-            "axis_source": list(g.axis_source),
-            "label_perm": list(g.label_perm),
-            "reversals": [bool(b) for b in g.reversals],
-            "parity": str(equivalence.sign_parity(g)),
-            "representative": rep_payload,
-            "inner": inner_cert,
-        }
-    return FixityVerdict(status, sign, cert, frontier=frontier)
-
-
 def _decide_linear(cfg: Configuration, debug_crosscheck: bool = False) -> FixityVerdict:
     n = cfg.n()
     if n == 2:
@@ -516,30 +490,43 @@ def _decide_linear(cfg: Configuration, debug_crosscheck: bool = False) -> Fixity
         return decide_dim2(cfg)
     if debug_crosscheck and n == 4:
         return crosscheck_dim3(cfg)
-    ranks = equivalence._config_ranks(cfg)
-    canon, g = equivalence._canonical_ranks(ranks, n)
-    key = (n, canon)
-    hit = _MEMO.get(key)
+    return _decide_memoized(_Lin.of(cfg))
+
+
+def _decide_memoized(lin: _Lin) -> FixityVerdict:
+    """Decide a linear configuration of four or more labels by deciding
+    its canonical representative once and transporting the verdict."""
+    n = len(lin.labels)
+    canon, g, parity = equivalence.canonical(equivalence.encode(lin.labels, lin.seqs), n)
+    hit = _MEMO.get(canon)
     if hit is None:
-        rep = equivalence._ranks_to_config(
-            canon, equivalence.default_labels(n), equivalence.default_axes(n - 1)
-        )
+        labels = equivalence.default_labels(n)
+        rep = _Lin(labels, equivalence.default_axes(n - 1), equivalence.decode(canon, labels))
         if n == 4:
-            verdict = decide_dim3(rep)
+            verdict = _dim3_verdict(rep)
         else:
-            verdict = formally_fixed_by_expansion(rep)
+            verdict = _expansion_verdict(rep)
             if verdict.status is Status.UNKNOWN:
-                verdict = non_fixed_by_extreme_lemma(rep)
-        frontier = n >= 5 and verdict.status is Status.UNKNOWN
+                verdict = _lemma_verdict(rep)
         rep_payload = {
             "labels": list(rep.labels),
             "axes": list(rep.axes),
-            "sequences": [list(o.sequence()) for o in rep.orders],
+            "sequences": [list(seq) for seq in rep.seqs],
         }
-        hit = (verdict.status, verdict.sign, verdict.certificate, frontier, rep_payload)
-        _MEMO[key] = hit
-    status, canon_sign, inner_cert, frontier, rep_payload = hit
-    return _transport_verdict(status, canon_sign, inner_cert, rep_payload, g, frontier)
+        hit = _MEMO[canon] = (verdict, rep_payload)
+    verdict, rep_payload = hit
+    if verdict.status is Status.UNKNOWN:
+        return FixityVerdict(Status.UNKNOWN, None, None, frontier=True)
+    cert = {
+        "type": "equivalent",
+        "axis_source": list(g.axis_source),
+        "label_perm": list(g.label_perm),
+        "reversals": list(g.reversals),
+        "parity": str(parity),
+        "representative": rep_payload,
+        "inner": verdict.certificate,
+    }
+    return FixityVerdict(verdict.status, ConfigSign(parity.value * verdict.sign.value), cert)
 
 
 def _totally_incomparable_pair(cfg: Configuration):
@@ -945,7 +932,7 @@ def _replay(cfg: Configuration, status: Status, sign, cert) -> bool:
         image = equivalence.apply(g, cfg)
         rep = cert["representative"]
         rep_cfg = Configuration.from_sequences(rep["labels"], rep["axes"], rep["sequences"])
-        if equivalence._config_ranks(image) != equivalence._config_ranks(rep_cfg):
+        if equivalence.code_of(image) != equivalence.code_of(rep_cfg):
             return False
         inner_sign = None
         if status is Status.FIXED:

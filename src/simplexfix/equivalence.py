@@ -6,20 +6,36 @@ axis orderings.  The group has order ``(n-1)! * n! * 2^(n-1)``; reversing
 an axis or applying an odd permutation flips the orientation sign, which
 :func:`sign_parity` tracks.
 
-Canonicalization first forces the first axis ordering to the identity
-chain via the (unique) relabeling, then takes the lexicographic minimum
-over axis permutations and reversal masks.  Class counting for large ``n``
-goes through the orbit-counting identity over permutation cycle types
-instead of materializing the ``(n!)^(n-1)`` configurations.
+Internally a linear configuration is its *code*: per axis, the index in
+``labels`` of the label at each position, all axes concatenated into one
+``bytes`` string.  Codes of one size compare like the tuples of per-axis
+sequences, and sequences compare like their permutation ranks.
+
+The canonical form is the lexicographic minimum of the orbit, so its first
+axis is the identity chain.  Choosing the input axis ``j`` that becomes the
+first output axis, and whether it is reversed, therefore fixes the
+relabeling: the inverse of that axis's sequence.  Each other axis then
+independently takes the smaller of its relabeled sequence and that
+sequence's reversal, and those are sorted.  The minimum over these ``2k``
+candidates (``k`` axes) is the orbit minimum; no scan over the ``k! * 2^k``
+axis permutations and reversal masks, and no permutation table, is needed.
+The group element reported is the one the full scan would meet first: the
+least ``(axis_source, reversal mask as an integer)`` reaching the minimum,
+axes with equal sequences taken in index order.
+
+Class counting for large ``n`` goes through the orbit-counting identity
+over permutation cycle types instead of materializing the
+``(n!)^(n-1)`` configurations.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial
-from typing import Sequence
+from itertools import chain, permutations, product
+from math import factorial, prod
+from typing import Iterable, Sequence
 
 from .orders import Configuration, Ordering
 from .signs import FormalSign
@@ -27,34 +43,12 @@ from .signs import FormalSign
 #: class counts for n = 2..6; frozen reference for the gated n=6 run
 KNOWN_CLASS_COUNTS = {2: 1, 3: 2, 4: 21, 5: 5097, 6: 71965235}
 
-
-@lru_cache(maxsize=None)
-def _tables(n: int):
-    """Rank tables for S_n: PERMS, RANK, COMPOSE, INV, REV, PARITY.
-
-    Permutations are tuples over range(n) in lexicographic order;
-    COMPOSE[a][b] ranks ``perm_a o perm_b`` (apply b, then a).
-    """
-    perms = tuple(permutations(range(n)))
-    rank = {p: i for i, p in enumerate(perms)}
-    compose = [[rank[tuple(a[v] for v in b)] for b in perms] for a in perms]
-    inv = [0] * len(perms)
-    for i, p in enumerate(perms):
-        q = [0] * n
-        for pos, v in enumerate(p):
-            q[v] = pos
-        inv[i] = rank[tuple(q)]
-    rev = [rank[tuple(reversed(p))] for p in perms]
-    parity = []
-    for p in perms:
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
-        )
-        parity.append(-1 if inversions % 2 else 1)
-    return perms, rank, compose, inv, rev, parity
+#: canonical forms kept, by input code; the entries are small, and the
+#: bound keeps a long run of distinct configurations from growing memory
+_CACHE_SIZE = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """(axis permutation, label permutation, per-axis reversal mask).
 
@@ -138,78 +132,98 @@ def apply(g: GroupElement, cfg: Configuration) -> Configuration:
     return Configuration(cfg.labels, cfg.axes, tuple(new_orders))
 
 
-def _config_ranks(cfg: Configuration) -> tuple:
-    """Per-axis permutation ranks of a linear configuration."""
-    n = len(cfg.labels)
-    _, rank, _, _, _, _ = _tables(n)
-    index = {lab: i for i, lab in enumerate(cfg.labels)}
-    ranks = []
-    for ordering in cfg.orders:
-        seq = ordering.sequence()
-        ranks.append(rank[tuple(index[lab] for lab in seq)])
-    return tuple(ranks)
+def encode(labels: Sequence, seqs: Iterable[Sequence]) -> bytes:
+    """Code of a linear configuration given by its per-axis sequences."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    return bytes(map(index.__getitem__, chain.from_iterable(seqs)))
 
 
-def _ranks_to_config(ranks: Sequence[int], labels: tuple, axes: tuple) -> Configuration:
+def decode(code: bytes, labels: Sequence) -> tuple:
+    """Per-axis label sequences of a code."""
     n = len(labels)
-    perms, _, _, _, _, _ = _tables(n)
-    seqs = [tuple(labels[i] for i in perms[r]) for r in ranks]
-    return Configuration.from_sequences(labels, axes, seqs)
-
-
-@lru_cache(maxsize=1 << 16)
-def _canonical_ranks(ranks: tuple, n: int):
-    """Orbit-minimal rank tuple plus the (axis_source, sigma_rank, mask)
-    achieving it.
-
-    A candidate's first axis is always relabeled to the identity chain, the
-    lexicographically least first component, so minimizing over axis
-    permutations and reversal masks alone scans the true orbit minimum.
-    """
-    _, _, compose, inv, rev, _ = _tables(n)
-    k = len(ranks)
-    best = None
-    best_g = None
-    for src in permutations(range(k)):
-        base = [ranks[src[i]] for i in range(k)]
-        for mask in range(1 << k):
-            arr = [rev[base[i]] if mask >> i & 1 else base[i] for i in range(k)]
-            sigma = inv[arr[0]]
-            row = compose[sigma]
-            cand = tuple(row[a] for a in arr)
-            if best is None or cand < best:
-                best = cand
-                best_g = (src, sigma, mask)
-    src, sigma, mask = best_g
-    g = GroupElement(
-        src,
-        _tables(n)[0][sigma],
-        tuple(bool(mask >> i & 1) for i in range(k)),
+    return tuple(
+        tuple(labels[v] for v in code[i : i + n]) for i in range(0, len(code), n)
     )
-    return best, g
+
+
+def code_of(cfg: Configuration) -> bytes:
+    """Code of a linear configuration."""
+    if not cfg.is_linear():
+        raise ValueError("canonical forms are defined for linear configurations")
+    return encode(cfg.labels, (o.sequence() for o in cfg.orders))
+
+
+def _candidates(code: bytes, n: int):
+    """The ``2k`` canonical candidates of a code, one per first input axis
+    ``j`` and reversal bit ``b``.
+
+    Yields ``(candidate, j, b, sigma, rest)``: the candidate code without
+    its identity first axis, the relabeling ``sigma`` (``sigma[v]`` is the
+    new index of label ``v``), and the other axes as sorted
+    ``(relabeled sequence, axis index, reversed)`` triples.
+    """
+    k = len(code) // n
+    pad = bytes(256 - n)
+    for j in range(k):
+        row = code[j * n : (j + 1) * n]
+        for b in (False, True):
+            first = row[::-1] if b else row
+            sigma = bytearray(n)
+            for pos, v in enumerate(first):
+                sigma[v] = pos
+            moved = code.translate(bytes(sigma) + pad)
+            rest = []
+            for i in range(k):
+                if i != j:
+                    seq = moved[i * n : (i + 1) * n]
+                    back = seq[::-1]
+                    rest.append((back, i, True) if back < seq else (seq, i, False))
+            rest.sort()
+            yield b"".join([seq for seq, _, _ in rest]), j, b, sigma, rest
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def canonical(code: bytes, n: int) -> tuple:
+    """(canonical code, group element ``g`` mapping ``code`` to it,
+    ``sign_parity(g)``)."""
+    cands = list(_candidates(code, n))
+    best = min(cand for cand, *_ in cands)
+    elements = []  # (axis_source, reversal mask as an integer, reversals, sigma)
+    for cand, j, b, sigma, rest in cands:
+        if cand == best:
+            src = (j, *(i for _, i, _ in rest))
+            revs = (b, *(rev for _, _, rev in rest))
+            elements.append((src, sum(r << p for p, r in enumerate(revs)), revs, sigma))
+    src, _, revs, sigma = min(elements)
+    g = GroupElement(src, tuple(sigma), revs)
+    return bytes(range(n)) + best, g, sign_parity(g)
+
+
+def _rank(perm: bytes) -> int:
+    """Lexicographic rank of a permutation, from its Lehmer code."""
+    n = len(perm)
+    r = 0
+    for i, v in enumerate(perm):
+        r = r * (n - i) + sum(1 for w in perm[i + 1 :] if w < v)
+    return r
 
 
 def canonical_key(cfg: Configuration) -> int:
     """Integer encoding of the canonical form: per-axis permutation ranks
     in mixed radix; equal keys iff equivalent."""
-    if not cfg.is_linear():
-        raise ValueError("canonical keys are defined for linear configurations")
     n = len(cfg.labels)
-    ranks, _ = _canonical_ranks(_config_ranks(cfg), n)
+    canon = canonical(code_of(cfg), n)[0]
     key = 0
     base = factorial(n)
-    for r in ranks:
-        key = key * base + r
+    for i in range(0, len(canon), n):
+        key = key * base + _rank(canon[i : i + n])
     return key
 
 
 def canonical_form(cfg: Configuration) -> tuple:
     """(orbit-minimum configuration, group element mapping cfg to it)."""
-    if not cfg.is_linear():
-        raise ValueError("canonical_form needs a linear configuration")
-    n = len(cfg.labels)
-    ranks, g = _canonical_ranks(_config_ranks(cfg), n)
-    return _ranks_to_config(ranks, cfg.labels, cfg.axes), g
+    canon, g, _ = canonical(code_of(cfg), len(cfg.labels))
+    return Configuration.from_sequences(cfg.labels, cfg.axes, decode(canon, cfg.labels)), g
 
 
 def are_equivalent(c1: Configuration, c2: Configuration) -> bool:
@@ -219,20 +233,22 @@ def are_equivalent(c1: Configuration, c2: Configuration) -> bool:
 
 
 def orbit_size(cfg: Configuration) -> int:
-    """Number of distinct configurations in the equivalence orbit."""
+    """Number of distinct configurations in the equivalence orbit.
+
+    The group elements mapping ``cfg`` to its canonical form are as many
+    as its stabilizer has: each candidate reaching the minimum contributes
+    one per ordering of its equal axes.
+    """
     n = len(cfg.labels)
     k = n - 1
-    _, _, compose, _, rev, _ = _tables(n)
-    ranks = _config_ranks(cfg)
-    seen = set()
-    for src in permutations(range(k)):
-        base = [ranks[src[i]] for i in range(k)]
-        for mask in range(1 << k):
-            arr = tuple(rev[base[i]] if mask >> i & 1 else base[i] for i in range(k))
-            for sigma in range(factorial(n)):
-                row = compose[sigma]
-                seen.add(tuple(row[a] for a in arr))
-    return len(seen)
+    cands = list(_candidates(code_of(cfg), n))
+    best = min(cand for cand, *_ in cands)
+    stabilizer = sum(
+        prod(factorial(m) for m in Counter(seq for seq, _, _ in rest).values())
+        for cand, _, _, _, rest in cands
+        if cand == best
+    )
+    return factorial(k) * factorial(n) * 2**k // stabilizer
 
 
 def default_labels(n: int) -> tuple:
@@ -259,54 +275,58 @@ def enumerate_classes(n: int, allow_long: bool = False) -> list:
     labels = default_labels(n)
     axes = default_axes(n - 1)
     if n == 5:
-        reps = _enumerate_classes_bulk(n)
+        codes = _enumerate_classes_bulk(n)
     else:
-        m = factorial(n)
-        identity_rank = 0
-        reps = {}
-        for rest in product(range(m), repeat=n - 2):
-            ranks = (identity_rank, *rest)
-            canon, _ = _canonical_ranks(ranks, n)
-            if canon not in reps:
-                reps[canon] = canon
-        reps = sorted(reps)
-    return [_ranks_to_config(r, labels, axes) for r in reps]
+        identity = bytes(range(n))
+        perms = [bytes(p) for p in permutations(range(n))]
+        codes = sorted(
+            {canonical(identity + b"".join(rest), n)[0] for rest in product(perms, repeat=n - 2)}
+        )
+    return [Configuration.from_sequences(labels, axes, decode(c, labels)) for c in codes]
 
 
 def _enumerate_classes_bulk(n: int) -> list:
-    """Vectorized canonical-key scan for the gated n=5 enumeration."""
+    """Vectorized ``2k``-candidate scan for the gated n=5 enumeration.
+
+    Each relabeled axis is packed into a base-``n`` integer (digit order
+    is sequence order, so integers compare like sequences); a candidate
+    packs its sorted axes in base ``n**n``.  Chunks fix the second axis.
+    """
     import numpy as np
 
-    m = factorial(n)
     k = n - 1
-    _, _, compose, inv, rev, _ = _tables(n)
-    compose_a = np.array(compose, dtype=np.int32)
-    inv_a = np.array(inv, dtype=np.int32)
-    rev_a = np.array(rev, dtype=np.int32)
-
-    rest = np.indices((m,) * (n - 2), dtype=np.int32).reshape(n - 2, -1)
-    ranks = np.vstack([np.zeros((1, rest.shape[1]), dtype=np.int32), rest])  # (k, N)
-
-    radix = np.array([m ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    best = None
-    for src in permutations(range(k)):
-        gathered = ranks[list(src), :]
-        for mask in range(1 << k):
-            arr = gathered.copy()
-            for i in range(k):
-                if mask >> i & 1:
-                    arr[i] = rev_a[arr[i]]
-            sigma = inv_a[arr[0]]
-            cand = compose_a[sigma, arr]  # (k, N)
-            keys = (cand.astype(np.int64) * radix[:, None]).sum(axis=0)
-            best = keys if best is None else np.minimum(best, keys)
-    uniq = np.unique(best)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)  # (m, n)
+    m = len(perms)
+    forward = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    backward = forward[::-1]
+    radix = (n**n) ** np.arange(k - 2, -1, -1, dtype=np.int64)
+    rest = np.indices((m,) * (n - 3)).reshape(n - 3, -1).T  # axes 3.. of the chunk
+    keys = set()
+    for second in range(m):
+        seqs = np.empty((len(rest), k, n), dtype=np.int64)
+        seqs[:, 0] = perms[0]
+        seqs[:, 1] = perms[second]
+        seqs[:, 2:] = perms[rest]
+        best = None
+        for j in range(k):
+            others = [i for i in range(k) if i != j]
+            for b in (False, True):
+                first = seqs[:, j, ::-1] if b else seqs[:, j]
+                sigma = np.argsort(first, axis=1)[:, None, :]
+                moved = np.take_along_axis(sigma, seqs[:, others], axis=2)
+                packed = np.minimum(moved @ forward, moved @ backward)
+                packed.sort(axis=1)
+                cand = packed @ radix
+                best = cand if best is None else np.minimum(best, cand)
+        keys.update(np.unique(best).tolist())
+    identity = bytes(range(n))
     out = []
-    for key in uniq.tolist():
-        parts = []
-        for i in range(k):
-            parts.append(int(key // radix[i]) % m)
-        out.append(tuple(parts))
+    for key in sorted(keys):
+        rows = []
+        for i in range(k - 1):
+            packed = key // (n**n) ** (k - 2 - i) % n**n
+            rows.append(bytes(packed // n ** (n - 1 - p) % n for p in range(n)))
+        out.append(identity + b"".join(rows))
     return out
 
 

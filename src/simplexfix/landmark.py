@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .configio import InputFormatError
 from .engine import FixityVerdict, decide
+from .equivalence import default_axes
 from .orders import Configuration, Ordering, _as_fraction
 
 
@@ -60,7 +61,7 @@ class PointCloud:
         labels = tuple(points)
         some = points[labels[0]]
         if axes is None:
-            axes = _default_axes(len(some))
+            axes = default_axes(len(some))
         axes = tuple(axes)
         values = {}
         for lab in labels:
@@ -120,11 +121,6 @@ class PointCloud:
         if not labels:
             raise InputFormatError("no points in file", line=header_no)
         return cls.from_points({lab: values[lab] for lab in labels}, axes)
-
-
-def _default_axes(k: int) -> tuple:
-    names = ("x", "y", "z")
-    return tuple(names[i] if i < 3 else f"axis{i + 1}" for i in range(k))
 
 
 def derive_configuration(cloud: PointCloud, subset: Iterable) -> Configuration:

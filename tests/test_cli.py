@@ -179,6 +179,15 @@ def test_env_var_sets_default_format(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["status"] == "fixed"
 
 
+@pytest.mark.parametrize("name", ["SIMPLEXFIX_SEED", "SIMPLEXFIX_SAMPLES"])
+def test_malformed_env_var_is_a_usage_error(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "12x")
+    path = write(tmp_path, "fx.cfg", THM_FIXED)
+    code, out, err = run(capsys, "decide", path)
+    assert code == 1 and out == ""
+    assert name in err and "'12x'" in err
+
+
 def test_json_configuration_input(tmp_path, capsys):
     payload = {
         "labels": ["A", "B", "C"],

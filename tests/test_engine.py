@@ -1,8 +1,14 @@
 """Fixity deciders: base dimensions, expansion, extreme-element lemma,
 partial inputs, certificates, and the n>=5 frontier."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -475,3 +481,36 @@ def test_triple_fixity_bridges_to_induced_verdicts():
             all_fixed = all(s is Status.FIXED for s in statuses)
             assert all_fixed == _pairwise_nonconformal(*restricted)
             assert all_fixed == _cyclic_pattern_reachable(*restricted)
+
+
+SEVEN_LABEL_DECIDE = textwrap.dedent(
+    """
+    import random
+    from simplexfix import Configuration, decide, replay_certificate
+
+    rng = random.Random(7)
+    labels = tuple("ABCDEFG")
+    axes = tuple(f"a{i}" for i in range(6))
+    cfg = Configuration.from_sequences(labels, axes, [rng.sample(labels, 7) for _ in axes])
+    verdict = decide(cfg)
+    assert replay_certificate(cfg, verdict), "certificate does not replay"
+    print(verdict.status.value)
+    """
+)
+
+
+def test_seven_label_decide_is_fast_in_a_fresh_process():
+    # Canonicalization builds no permutation table, so a cold n=7 decide
+    # (all its n=6 and n=5 children decided from an empty memo) takes
+    # about half a second; 10 s leaves room for a slow host.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", SEVEN_LABEL_DECIDE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() in {"fixed", "non_fixed", "unknown"}
+    assert elapsed < 10.0, f"cold n=7 decide took {elapsed:.2f}s (budget 10s)"

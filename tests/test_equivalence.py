@@ -1,7 +1,7 @@
 """Group action laws, canonical forms, class enumeration and counting."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -22,6 +22,7 @@ from simplexfix import (
     orbit_size,
     sign_parity,
 )
+from simplexfix.equivalence import default_axes, default_labels
 from conftest import XYZ, fixed_n4_configs
 
 
@@ -40,6 +41,74 @@ def random_linear_cfg(rng, n):
     axes = tuple(f"a{i}" for i in range(n - 1))
     perms = list(permutations(labels))
     return Configuration.from_sequences(labels, axes, [rng.choice(perms) for _ in range(n - 1)])
+
+
+def reference_canonical(seqs):
+    """The full scan over all ``k! * 2^k`` axis permutations and reversal
+    masks, each candidate relabeled so its first axis is the identity
+    chain: the least candidate, and the first (axis_source, mask) in scan
+    order that reaches it."""
+    k, n = len(seqs), len(seqs[0])
+    oriented = [(seq, seq[::-1]) for seq in seqs]
+    relabeled = {}  # (first axis, its reversal) -> (sigma, oriented axes relabeled)
+    for j in range(k):
+        for b in (0, 1):
+            sigma = [0] * n
+            for pos, v in enumerate(oriented[j][b]):
+                sigma[v] = pos
+            relabeled[j, b] = sigma, [
+                [tuple(map(sigma.__getitem__, o)) for o in pair] for pair in oriented
+            ]
+    best = best_g = None
+    for src in permutations(range(k)):
+        for mask in range(1 << k):
+            sigma, axes = relabeled[src[0], mask & 1]
+            cand = tuple(axes[src[i]][mask >> i & 1] for i in range(k))
+            if best is None or cand < best:
+                best, best_g = cand, (src, tuple(sigma), mask)
+    src, sigma, mask = best_g
+    return best, GroupElement(src, sigma, tuple(bool(mask >> i & 1) for i in range(k)))
+
+
+def reference_key(canon):
+    n = len(canon[0])
+    rank = {p: i for i, p in enumerate(permutations(range(n)))}
+    key = 0
+    for seq in canon:
+        key = key * factorial(n) + rank[seq]
+    return key
+
+
+def assert_matches_reference(seqs):
+    n = len(seqs[0])
+    labels, axes = default_labels(n), default_axes(n - 1)
+    cfg = Configuration.from_sequences(labels, axes, [[labels[v] for v in s] for s in seqs])
+    ref, ref_g = reference_canonical(seqs)
+    canon, g = canonical_form(cfg)
+    assert [tuple(labels.index(l) for l in o.sequence()) for o in canon.orders] == list(ref)
+    assert g == ref_g
+    assert canonical_key(cfg) == reference_key(ref)
+
+
+def test_canonical_form_matches_full_scan_on_every_n4_configuration():
+    perms = list(permutations(range(4)))
+    for seqs in product(perms, repeat=3):
+        assert_matches_reference(seqs)
+
+
+@pytest.mark.parametrize("n, count", [(5, 300), (6, 30)])
+def test_canonical_form_matches_full_scan_on_seeded_samples(n, count):
+    rng = random.Random(n)
+    for _ in range(count):
+        seqs = []
+        for _ in range(n - 1):
+            if seqs and rng.random() < 0.4:  # a repeated or reversed axis
+                seq = rng.choice(seqs)
+                seqs.append(seq[::-1] if rng.random() < 0.5 else seq)
+            else:
+                seqs.append(tuple(rng.sample(range(n), n)))
+        rng.shuffle(seqs)
+        assert_matches_reference(tuple(seqs))
 
 
 def test_identity_and_involution():

@@ -2,6 +2,7 @@
 ``pytest -m slow``)."""
 
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from simplexfix import (
     Status,
     decide,
     enumerate_classes,
+    orbit_size,
     sample_signs,
 )
 from conftest import N4_LABELS, XYZ
@@ -40,3 +42,4 @@ def test_five_label_enumeration_matches_orbit_count():
     reps = enumerate_classes(5, allow_long=True)
     assert len(reps) == 5097
     assert all(rep.is_linear() for rep in reps[:50])
+    assert sum(orbit_size(rep) for rep in reps) == factorial(5) ** 4
