@@ -23,9 +23,17 @@ common sign.
 Verdicts carry replayable certificates (plain dicts, JSON-ready).  The
 memo table for n >= 4 is keyed by canonical code (see
 :mod:`simplexfix.equivalence`) with the sign transported through the group
-element's parity; expansion children reach it straight from their
-sequences, without building a Configuration.  Concurrent insert-or-get
-races are benign because stored values are canonical.
+element's parity.  Concurrent insert-or-get races are benign because
+stored values are canonical.
+
+Configuration and Ordering are boundary types: they validate input, carry
+the public API, and validate certificate payloads (a representative, an
+extension's orders).  Past that boundary every path works on ``_Lin``, the
+per-axis label sequences of a linear configuration: one dispatch
+(``_decide_lin``) decides inputs, expansion children, representatives and
+the extensions of partial inputs; one walker (``_walk_chain``) follows and
+checks extreme-removal chains for witnesses and replay; replay compares
+codes under the group action instead of rebuilding orderings.
 """
 
 from __future__ import annotations
@@ -35,17 +43,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from . import equivalence
 from .orders import (
     Configuration,
+    Ordering,
     PointAssignment,
+    _det_int,
     _det_sign_int,
-    configuration_extensions,
+    _int_rows,
     det_sign,
-    induced,
     satisfies,
 )
 from .signs import ConfigSign, DetSign, FormalSign, fadd, fmul
@@ -120,7 +129,7 @@ def verify_witness(pair: WitnessPair, cfg: Configuration) -> bool:
 
 class _Lin:
     """Label names, axis names and per-axis sequences of a linear
-    configuration."""
+    configuration; every path past the input boundary works on this."""
 
     __slots__ = ("labels", "axes", "seqs")
 
@@ -152,8 +161,20 @@ def _without(items: tuple, index: int) -> tuple:
     return items[:index] + items[index + 1 :]
 
 
-def _conformal_seqs(a: Sequence, b: Sequence) -> bool:
-    return tuple(a) == tuple(b) or tuple(a) == tuple(reversed(b))
+def _relation(a: tuple, b: tuple):
+    """``"equal"`` or ``"reversed"`` when the two sequences are, else None."""
+    if a == b:
+        return "equal"
+    if a == b[::-1]:
+        return "reversed"
+    return None
+
+
+def _extensions(cfg: Configuration):
+    """The linear extensions of a configuration, in the order of
+    :func:`~simplexfix.orders.configuration_extensions`."""
+    for seqs in product(*(o.extension_sequences() for o in cfg.orders)):
+        yield _Lin(cfg.labels, cfg.axes, seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +187,15 @@ def decide_dim1(cfg: Configuration) -> FixityVerdict:
         raise ValueError("decide_dim1 needs exactly two labels")
     if not cfg.is_linear():
         raise ValueError("decide_dim1 needs a linear ordering; partial input goes through decide()")
-    first, second = cfg.labels
-    sign = ConfigSign.PLUS if cfg.orders[0].less(first, second) else ConfigSign.MINUS
-    return FixityVerdict(Status.FIXED, sign, {"type": "dim1", "sign": str(sign)})
+    return _decide_lin(_Lin.of(cfg))
 
 
 def _dim2_verdict(lin: _Lin) -> FixityVerdict:
     sx, sy = lin.seqs
-    if sx == sy:
+    relation = _relation(sx, sy)
+    if relation is not None:
         return FixityVerdict(
-            Status.NON_FIXED, ConfigSign.BOTH, {"type": "dim2_non_fixed", "relation": "equal"}
-        )
-    if sx == tuple(reversed(sy)):
-        return FixityVerdict(
-            Status.NON_FIXED, ConfigSign.BOTH, {"type": "dim2_non_fixed", "relation": "reversed"}
+            Status.NON_FIXED, ConfigSign.BOTH, {"type": "dim2_non_fixed", "relation": relation}
         )
     # Subtract the column of the middle label of the first axis; the 2x2
     # formal determinant is then definite (the middle-in-x label is extreme
@@ -216,33 +232,30 @@ def is_conformal(cfg: Configuration, triple: Iterable, i, j) -> bool:
     oj = cfg.order_for(j).restrict(triple)
     if not (oi.is_linear() and oj.is_linear()):
         raise ValueError("is_conformal needs linear restrictions on the triple")
-    return _conformal_seqs(oi.sequence(), oj.sequence())
+    return _relation(oi.sequence(), oj.sequence()) is not None
 
 
 # ---------------------------------------------------------------------------
 # cofactor expansion
 
 
-def _expansion_sign(lin: _Lin, e_i, e_j, child_signs: Sequence[int]) -> FormalSign:
+def _expansion_sign(lin: _Lin, e_i, e_j, children: Sequence[FixityVerdict]) -> FormalSign:
     """Formal sign of the expansion of the determinant w.r.t. (e_i, e_j).
 
-    ``child_signs[k]`` is the configuration sign (+1/-1, 0 for both or
-    unknown) of the sub-configuration dropping ``e_i`` and axis ``k``.
+    ``children[k]`` is the verdict on the sub-configuration dropping
+    ``e_i`` and axis ``k``; a child that is not fixed collapses the sign.
     """
     i = lin.labels.index(e_i) + 1
     total = 0
-    first = True
-    for k in range(len(lin.axes)):
+    for k, child in enumerate(children):
+        if child.status is not Status.FIXED:
+            return FormalSign.UNKNOWN
         # (-1)^(i + (k+1) + 1) for 1-based axis position k+1
         parity = 1 if (i + k) % 2 == 0 else -1
-        term = parity * lin.diff(e_i, e_j, k).value * child_signs[k]
-        if term == 0:
+        term = parity * lin.diff(e_i, e_j, k).value * child.sign.value
+        if total and term != total:
             return FormalSign.UNKNOWN
-        if first:
-            total = term
-            first = False
-        elif term != total:
-            return FormalSign.UNKNOWN
+        total = term
     return FormalSign(total)
 
 
@@ -255,25 +268,7 @@ def expansion_formal_sign(cfg: Configuration, e_i, e_j, child_verdicts: Mapping)
     """
     if e_i == e_j:
         raise ValueError("pivot labels must differ")
-    lin = _Lin.of(cfg)
-    child_signs = []
-    for axis in cfg.axes:
-        v = child_verdicts[axis]
-        child_signs.append(v.sign.value if v.status is Status.FIXED else 0)
-    return _expansion_sign(lin, e_i, e_j, child_signs)
-
-
-def _child_verdict(lin: _Lin, label, axis_index: int) -> FixityVerdict:
-    """Decide the sub-configuration dropping ``label`` and one axis."""
-    sub = lin.drop(label, axis_index)
-    n = len(sub.labels)
-    if n == 2:
-        first, second = sub.labels
-        sign = ConfigSign.PLUS if sub.seqs[0][0] == first else ConfigSign.MINUS
-        return FixityVerdict(Status.FIXED, sign, {"type": "dim1", "sign": str(sign)})
-    if n == 3:
-        return _dim2_verdict(sub)
-    return _decide_memoized(sub)
+    return _expansion_sign(_Lin.of(cfg), e_i, e_j, [child_verdicts[a] for a in cfg.axes])
 
 
 def _expansion_fixed(lin: _Lin, e_i, e_j, children, value: FormalSign) -> FixityVerdict:
@@ -311,18 +306,14 @@ def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
 
 
 def _expansion_verdict(lin: _Lin) -> FixityVerdict:
-    k = len(lin.axes)
     for e_i in lin.labels:
-        children = [_child_verdict(lin, e_i, a) for a in range(k)]
-        child_signs = [
-            v.sign.value if v.status is Status.FIXED else 0 for v in children
-        ]
-        if all(s == 0 for s in child_signs):
+        children = [_decide_lin(lin.drop(e_i, a)) for a in range(len(lin.axes))]
+        if not any(v.status is Status.FIXED for v in children):
             continue
         for e_j in lin.labels:
             if e_j == e_i:
                 continue
-            value = _expansion_sign(lin, e_i, e_j, child_signs)
+            value = _expansion_sign(lin, e_i, e_j, children)
             if value.definite:
                 return _expansion_fixed(lin, e_i, e_j, children, value)
     return FixityVerdict(Status.UNKNOWN, None, None)
@@ -332,23 +323,53 @@ def _expansion_verdict(lin: _Lin) -> FixityVerdict:
 # extreme-element non-fixity
 
 
-def _lemma_chain(lin: _Lin):
-    """Chain of (label, axis index, 'min'/'max') removals ending at an
-    equal-or-reversed pair of 3-label orderings, or None."""
-    n = len(lin.labels)
-    if n == 3:
-        return [] if _conformal_seqs(*lin.seqs) else None
-    for a in range(len(lin.axes)):
-        seq = lin.seqs[a]
+def _lemma_certificate(lin: _Lin):
+    """Certificate of a chain of extreme-label removals (each with one
+    axis) ending at an equal-or-reversed pair of 3-label orderings, or
+    None when there is no such chain."""
+    if len(lin.labels) == 3:
+        relation = _relation(*lin.seqs)
+        if relation is None:
+            return None
+        return {
+            "type": "extreme_lemma",
+            "steps": [],
+            "base": {"type": "dim2_non_fixed", "relation": relation},
+        }
+    for a, seq in enumerate(lin.seqs):
         for e, kind in ((seq[0], "min"), (seq[-1], "max")):
-            sub = lin.drop(e, a)
-            if n - 1 == 3:
-                tail = [] if _conformal_seqs(*sub.seqs) else None
-            else:
-                tail = _lemma_chain(sub)
-            if tail is not None:
-                return [(e, a, kind)] + tail
+            cert = _lemma_certificate(lin.drop(e, a))
+            if cert is not None:
+                cert["steps"].insert(0, {"label": e, "axis": lin.axes[a], "extreme": kind})
+                return cert
     return None
+
+
+def _walk_chain(lin: _Lin, cert: dict):
+    """Follow an extreme-removal certificate from ``lin``.
+
+    Checks that every step's label is the named extreme (``"min"`` or
+    ``"max"``) of the named axis, and that the chain ends at two 3-label
+    orderings in the named base relation.  Returns the (configuration,
+    label, axis index) of every step and the final configuration; raises
+    ValueError naming the first check that fails.
+    """
+    stack = []
+    cur = lin
+    for step in cert["steps"]:
+        label, axis, kind = step["label"], step["axis"], step["extreme"]
+        if axis not in cur.axes:
+            raise ValueError(f"certificate invalid: axis {axis!r} missing")
+        a = cur.axes.index(axis)
+        seq = cur.seqs[a]
+        if (kind, label) not in (("min", seq[0]), ("max", seq[-1])):
+            raise ValueError(f"certificate invalid: {label!r} is not the {kind} of {axis!r}")
+        stack.append((cur, label, a))
+        cur = cur.drop(label, a)
+    relation = cert["base"]["relation"]
+    if len(cur.labels) != 3 or _relation(*cur.seqs) != relation:
+        raise ValueError(f"certificate invalid: the chain does not end in a {relation!r} pair")
+    return stack, cur
 
 
 def non_fixed_by_extreme_lemma(cfg: Configuration) -> FixityVerdict:
@@ -360,20 +381,9 @@ def non_fixed_by_extreme_lemma(cfg: Configuration) -> FixityVerdict:
 
 
 def _lemma_verdict(lin: _Lin) -> FixityVerdict:
-    chain = _lemma_chain(lin)
-    if chain is None:
+    cert = _lemma_certificate(lin)
+    if cert is None:
         return FixityVerdict(Status.UNKNOWN, None, None)
-    steps = []
-    cur = lin
-    for e, a, kind in chain:
-        steps.append({"label": e, "axis": cur.axes[a], "extreme": kind})
-        cur = cur.drop(e, a)
-    base = "equal" if cur.seqs[0] == cur.seqs[1] else "reversed"
-    cert = {
-        "type": "extreme_lemma",
-        "steps": steps,
-        "base": {"type": "dim2_non_fixed", "relation": base},
-    }
     return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
 
 
@@ -396,9 +406,9 @@ def _dim3_fixed_search(lin: _Lin):
             tuple(l for l in lin.seqs[a] if l != d_label) for a in axis_range
         )
         if (
-            _conformal_seqs(restr[0], restr[1])
-            or _conformal_seqs(restr[0], restr[2])
-            or _conformal_seqs(restr[1], restr[2])
+            _relation(restr[0], restr[1])
+            or _relation(restr[0], restr[2])
+            or _relation(restr[1], restr[2])
         ):
             continue
         d_below = tuple(
@@ -444,9 +454,8 @@ def _dim3_verdict(lin: _Lin) -> FixityVerdict:
             raise InternalCheckError("non-fixed n=4 configuration must satisfy the extreme lemma")
         return verdict
     d_label, x_label = found
-    children = [_child_verdict(lin, d_label, a) for a in range(3)]
-    child_signs = [v.sign.value if v.status is Status.FIXED else 0 for v in children]
-    value = _expansion_sign(lin, d_label, x_label, child_signs)
+    children = [_decide_lin(lin.drop(d_label, a)) for a in range(3)]
+    value = _expansion_sign(lin, d_label, x_label, children)
     if not value.definite:
         raise InternalCheckError("dim-3 fixed shape must yield a definite expansion sign")
     return _expansion_fixed(lin, d_label, x_label, children, value)
@@ -454,9 +463,15 @@ def _dim3_verdict(lin: _Lin) -> FixityVerdict:
 
 def crosscheck_dim3(cfg: Configuration) -> FixityVerdict:
     """Run the three n = 4 characterizations and insist they agree."""
-    direct = decide_dim3(cfg)
-    by_expansion = formally_fixed_by_expansion(cfg)
-    by_lemma = non_fixed_by_extreme_lemma(cfg)
+    if cfg.n() != 4:
+        raise ValueError("crosscheck_dim3 needs exactly four labels")
+    return _crosscheck_dim3(_Lin.of(cfg))
+
+
+def _crosscheck_dim3(lin: _Lin) -> FixityVerdict:
+    direct = _dim3_verdict(lin)
+    by_expansion = _expansion_verdict(lin)
+    by_lemma = _lemma_verdict(lin)
     ok = (
         (direct.status is Status.FIXED)
         == (by_expansion.status is Status.FIXED)
@@ -482,15 +497,19 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def _decide_linear(cfg: Configuration, debug_crosscheck: bool = False) -> FixityVerdict:
-    n = cfg.n()
+def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
+    """Decide a linear configuration: two and three labels directly, four
+    or more through the memo, or at n = 4 with ``debug_crosscheck`` by all
+    three characterizations."""
+    n = len(lin.labels)
     if n == 2:
-        return decide_dim1(cfg)
+        sign = ConfigSign.PLUS if lin.seqs[0][0] == lin.labels[0] else ConfigSign.MINUS
+        return FixityVerdict(Status.FIXED, sign, {"type": "dim1", "sign": str(sign)})
     if n == 3:
-        return decide_dim2(cfg)
+        return _dim2_verdict(lin)
     if debug_crosscheck and n == 4:
-        return crosscheck_dim3(cfg)
-    return _decide_memoized(_Lin.of(cfg))
+        return _crosscheck_dim3(lin)
+    return _decide_memoized(lin)
 
 
 def _decide_memoized(lin: _Lin) -> FixityVerdict:
@@ -602,7 +621,7 @@ def decide(
     statistics (``frontier_samples`` draws from ``seed``).
     """
     if cfg.is_linear():
-        verdict = _decide_linear(cfg, debug_crosscheck)
+        verdict = _decide_lin(_Lin.of(cfg), debug_crosscheck)
         if verdict.frontier and frontier_samples > 0:
             samples = sample_signs(cfg, seed, frontier_samples)
             verdict = FixityVerdict(
@@ -626,13 +645,13 @@ def decide(
     signs = set()
     count = 0
     saw_unknown = False
-    for ext in configuration_extensions(cfg):
-        verdict = _decide_linear(ext, debug_crosscheck)
+    for ext in _extensions(cfg):
+        verdict = _decide_lin(ext, debug_crosscheck)
         count += 1
         if verdict.status is Status.NON_FIXED:
             cert = {
                 "type": "extension",
-                "orders": {a: list(o.sequence()) for a, o in zip(ext.axes, ext.orders)},
+                "orders": {a: list(seq) for a, seq in zip(ext.axes, ext.seqs)},
                 "inner": verdict.certificate,
             }
             return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
@@ -671,28 +690,17 @@ def _values_json(cfg: Configuration, values: Mapping) -> dict:
     }
 
 
-def _det_fraction(rows) -> Fraction:
-    """Exact determinant of a small square matrix of Fractions."""
-    k = len(rows)
-    if k == 1:
-        return Fraction(rows[0][0])
-    if k == 2:
-        return Fraction(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    total = Fraction(0)
-    for j in range(k):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _det_fraction(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def _det_value(cfg_labels, cfg_axes, values: Mapping) -> Fraction:
+    """Exact determinant of rational values: denominators cleared row-wise,
+    the integer determinant divided by the product of the row scales."""
     first = cfg_labels[0]
-    rows = [
-        [Fraction(values[(lab, axis)]) - Fraction(values[(first, axis)]) for lab in cfg_labels[1:]]
-        for axis in cfg_axes
-    ]
-    return _det_fraction(rows)
+    rows, scale = _int_rows(
+        [
+            [values[(lab, axis)] - values[(first, axis)] for lab in cfg_labels[1:]]
+            for axis in cfg_axes
+        ]
+    )
+    return Fraction(_det_int(rows), scale)
 
 
 def _witness_dim2_values(lin: _Lin):
@@ -788,45 +796,18 @@ def _lift_witness(lin: _Lin, e, axis_index: int, child_pairs):
     return results[1], results[-1]
 
 
-def _chain_from_certificate(lin: _Lin, cert: dict):
-    """Validate an extreme-removal certificate against ``lin`` and return
-    its chain as (label, axis index, kind) triples."""
-    if cert.get("type") != "extreme_lemma":
-        raise ValueError(f"certificate invalid: expected an extreme-removal chain, got {cert.get('type')!r}")
-    chain = []
-    cur = lin
-    for step in cert["steps"]:
-        try:
-            a = cur.axes.index(step["axis"])
-        except ValueError:
-            raise ValueError(f"certificate invalid: axis {step['axis']!r} missing") from None
-        seq = cur.seqs[a]
-        e = step["label"]
-        if e not in (seq[0], seq[-1]):
-            raise ValueError(f"certificate invalid: {e!r} is not extreme on {step['axis']!r}")
-        chain.append((e, a, "min" if seq[0] == e else "max"))
-        cur = cur.drop(e, a)
-    if len(cur.labels) != 3 or not _conformal_seqs(*cur.seqs):
-        raise ValueError("certificate invalid: chain does not end in an equal-or-reversed pair")
-    return chain
-
-
-def _witness_values_linear(cfg: Configuration, cert: dict | None = None):
-    lin = _Lin.of(cfg)
+def _witness_values_linear(lin: _Lin, cert: dict | None = None):
     if len(lin.labels) == 2:
         raise NotNonFixedError("a linear two-label configuration is always fixed")
-    chain = _chain_from_certificate(lin, cert) if cert is not None else _lemma_chain(lin)
-    if chain is None:
-        raise NotNonFixedError(
-            "no extreme-removal chain found; the configuration is fixed "
-            "or beyond the non-fixity semi-decision"
-        )
-    stack = []
-    cur = lin
-    for e, a, _kind in chain:
-        stack.append((cur, e, a))
-        cur = cur.drop(e, a)
-    pair = _witness_dim2_values(cur)
+    if cert is None:
+        cert = _lemma_certificate(lin)
+        if cert is None:
+            raise NotNonFixedError(
+                "no extreme-removal chain found; the configuration is fixed "
+                "or beyond the non-fixity semi-decision"
+            )
+    stack, base = _walk_chain(lin, cert)
+    pair = _witness_dim2_values(base)
     for parent, e, a in reversed(stack):
         pair = _lift_witness(parent, e, a, pair)
     return pair
@@ -847,34 +828,26 @@ def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> W
         if verdict.certificate.get("type") == "extreme_lemma":
             cert = verdict.certificate
     if cfg.is_linear():
-        plus, minus = _witness_values_linear(cfg, cert)
-        pair = WitnessPair(
-            PointAssignment(cfg.labels, cfg.axes, plus),
-            PointAssignment(cfg.labels, cfg.axes, minus),
-        )
-        if not verify_witness(pair, cfg):
-            raise InternalCheckError("constructed witness failed exact verification")
-        return pair
-
-    if cfg.n() == 2:
+        plus, minus = _witness_values_linear(_Lin.of(cfg), cert)
+    elif cfg.n() == 2:
+        # the empty ordering: the two labels swap places
         first, second = cfg.labels
         axis = cfg.axes[0]
-        pair = WitnessPair(
-            PointAssignment(cfg.labels, cfg.axes, {(first, axis): 0, (second, axis): 1}),
-            PointAssignment(cfg.labels, cfg.axes, {(first, axis): 1, (second, axis): 0}),
-        )
-        if not verify_witness(pair, cfg):
-            raise NotNonFixedError("two-label configuration with an ordered pair is fixed")
-        return pair
-
-    for ext in configuration_extensions(cfg):
-        sub = _decide_linear(ext)
-        if sub.status is Status.NON_FIXED:
-            pair = build_witness(ext)
-            if not verify_witness(pair, cfg):
-                raise InternalCheckError("extension witness must satisfy the weaker configuration")
-            return pair
-    raise NotNonFixedError("no provably non-fixed linear extension found")
+        plus, minus = {(first, axis): 0, (second, axis): 1}, {(first, axis): 1, (second, axis): 0}
+    else:
+        for ext in _extensions(cfg):
+            if _decide_lin(ext).status is Status.NON_FIXED:
+                plus, minus = _witness_values_linear(ext)
+                break
+        else:
+            raise NotNonFixedError("no provably non-fixed linear extension found")
+    pair = WitnessPair(
+        PointAssignment(cfg.labels, cfg.axes, plus),
+        PointAssignment(cfg.labels, cfg.axes, minus),
+    )
+    if not verify_witness(pair, cfg):
+        raise InternalCheckError("constructed witness failed exact verification")
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -883,23 +856,47 @@ def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> W
 
 def _replay(cfg: Configuration, status: Status, sign, cert) -> bool:
     kind = cert["type"]
-    if kind == "dim1":
-        fresh = decide_dim1(cfg)
-        return fresh.status is status and fresh.sign is sign
-    if kind in ("dim2_fixed", "dim2_non_fixed"):
-        fresh = decide_dim2(cfg)
-        if fresh.status is not status or fresh.sign is not sign:
+    if kind == "extension":
+        seqs = tuple(tuple(cert["orders"][a]) for a in cfg.axes)
+        for ordering, seq in zip(cfg.orders, seqs):
+            if not ordering.pairs <= Ordering.chain(seq, cfg.labels).pairs:
+                return False
+        ext = _Lin(cfg.labels, cfg.axes, seqs)
+        return status is Status.NON_FIXED and _replay_lin(ext, status, ConfigSign.BOTH, cert["inner"])
+    if kind == "extensions_all_fixed":
+        verdicts = [_decide_lin(ext) for ext in _extensions(cfg)]
+        return (
+            status is Status.FIXED
+            and len(verdicts) == cert["count"]
+            and all(v.status is Status.FIXED and v.sign is sign for v in verdicts)
+        )
+    if kind == "opposite_extensions":
+        verdicts = [_decide_lin(ext) for ext in _extensions(cfg)]
+        signs = {v.sign for v in verdicts if v.status is Status.FIXED}
+        return status is Status.NON_FIXED and len(verdicts) == cert["count"] and len(signs) == 2
+    if kind == "sampled_witness":
+        pair = WitnessPair(
+            _assignment_from_json(cfg, cert["plus"]),
+            _assignment_from_json(cfg, cert["minus"]),
+        )
+        return status is Status.NON_FIXED and verify_witness(pair, cfg)
+    return _replay_lin(_Lin.of(cfg), status, sign, cert)
+
+
+def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
+    kind = cert["type"]
+    if kind in ("dim1", "dim2_fixed", "dim2_non_fixed"):
+        if len(lin.labels) > 3:
             return False
-        return fresh.certificate["type"] == kind
+        fresh = _decide_lin(lin)
+        return fresh.status is status and fresh.sign is sign and fresh.certificate["type"] == kind
     if kind == "expansion":
         e_i, e_j = cert["pivot"]
-        children = {}
-        for term in cert["terms"]:
-            axis = term["axis"]
-            keep_axes = [a for a in cfg.axes if a != axis]
-            keep_labels = [l for l in cfg.labels if l != e_i]
-            children[axis] = decide(induced(cfg, keep_labels, keep_axes), frontier_samples=0)
-        value = expansion_formal_sign(cfg, e_i, e_j, children)
+        axes = [term["axis"] for term in cert["terms"]]
+        if e_i == e_j or len(axes) != len(lin.axes) or set(axes) != set(lin.axes):
+            return False
+        children = [_decide_lin(lin.drop(e_i, a)) for a in range(len(lin.axes))]
+        value = _expansion_sign(lin, e_i, e_j, children)
         return (
             status is Status.FIXED
             and value.definite
@@ -909,30 +906,21 @@ def _replay(cfg: Configuration, status: Status, sign, cert) -> bool:
     if kind == "extreme_lemma":
         if status is not Status.NON_FIXED:
             return False
-        current = cfg
-        for step in cert["steps"]:
-            ordering = current.order_for(step["axis"])
-            if step["label"] not in ordering.extreme_labels():
-                return False
-            current = induced(
-                current,
-                [l for l in current.labels if l != step["label"]],
-                [a for a in current.axes if a != step["axis"]],
-            )
-        seq0 = current.orders[0].sequence()
-        seq1 = current.orders[1].sequence()
-        relation = "equal" if seq0 == seq1 else ("reversed" if seq0 == tuple(reversed(seq1)) else None)
-        return relation == cert["base"]["relation"]
+        try:
+            _walk_chain(lin, cert)
+        except ValueError:
+            return False
+        return True
     if kind == "equivalent":
         g = equivalence.GroupElement(
             tuple(cert["axis_source"]),
             tuple(cert["label_perm"]),
             tuple(bool(b) for b in cert["reversals"]),
         )
-        image = equivalence.apply(g, cfg)
         rep = cert["representative"]
-        rep_cfg = Configuration.from_sequences(rep["labels"], rep["axes"], rep["sequences"])
-        if equivalence.code_of(image) != equivalence.code_of(rep_cfg):
+        rep_lin = _Lin.of(Configuration.from_sequences(rep["labels"], rep["axes"], rep["sequences"]))
+        image = equivalence.act(g, equivalence.encode(lin.labels, lin.seqs), len(lin.labels))
+        if image != equivalence.encode(rep_lin.labels, rep_lin.seqs):
             return False
         inner_sign = None
         if status is Status.FIXED:
@@ -940,32 +928,7 @@ def _replay(cfg: Configuration, status: Status, sign, cert) -> bool:
             inner_sign = ConfigSign(parity.value * sign.value)
         elif status is Status.NON_FIXED:
             inner_sign = ConfigSign.BOTH
-        return _replay(rep_cfg, status, inner_sign, cert["inner"])
-    if kind == "extension":
-        ext = Configuration.from_sequences(
-            cfg.labels, cfg.axes, [cert["orders"][a] for a in cfg.axes]
-        )
-        for axis, ordering in zip(cfg.axes, cfg.orders):
-            if not ordering.pairs <= ext.order_for(axis).pairs:
-                return False
-        return status is Status.NON_FIXED and _replay(ext, status, ConfigSign.BOTH, cert["inner"])
-    if kind == "extensions_all_fixed":
-        verdicts = [_decide_linear(ext) for ext in configuration_extensions(cfg)]
-        return (
-            status is Status.FIXED
-            and len(verdicts) == cert["count"]
-            and all(v.status is Status.FIXED and v.sign is sign for v in verdicts)
-        )
-    if kind == "opposite_extensions":
-        verdicts = [_decide_linear(ext) for ext in configuration_extensions(cfg)]
-        signs = {v.sign for v in verdicts if v.status is Status.FIXED}
-        return status is Status.NON_FIXED and len(verdicts) == cert["count"] and len(signs) == 2
-    if kind == "sampled_witness":
-        pair = WitnessPair(
-            _assignment_from_json(cfg, cert["plus"]),
-            _assignment_from_json(cfg, cert["minus"]),
-        )
-        return status is Status.NON_FIXED and verify_witness(pair, cfg)
+        return _replay_lin(rep_lin, status, inner_sign, cert["inner"])
     raise ValueError(f"unknown certificate type {kind!r}")
 
 

@@ -132,6 +132,19 @@ def apply(g: GroupElement, cfg: Configuration) -> Configuration:
     return Configuration(cfg.labels, cfg.axes, tuple(new_orders))
 
 
+def act(g: GroupElement, code: bytes, n: int) -> bytes:
+    """:func:`apply` on codes: the code of ``apply(g, c)`` for the linear
+    configuration ``c`` of ``n`` labels with code ``code``."""
+    if len(g.axis_source) * n != len(code) or len(g.label_perm) != n:
+        raise ValueError("group element dimensioned for a different configuration")
+    rename = bytes(g.label_perm) + bytes(256 - n)
+    rows = []
+    for src, rev in zip(g.axis_source, g.reversals):
+        row = code[src * n : (src + 1) * n]
+        rows.append((row[::-1] if rev else row).translate(rename))
+    return b"".join(rows)
+
+
 def encode(labels: Sequence, seqs: Iterable[Sequence]) -> bytes:
     """Code of a linear configuration given by its per-axis sequences."""
     index = {lab: i for i, lab in enumerate(labels)}

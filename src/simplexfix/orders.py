@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .signs import DetSign
@@ -139,31 +139,26 @@ class Ordering:
         seq = self.sequence()
         return {seq[0], seq[-1]}
 
-    def linear_extensions(self) -> list:
-        """Every linear order containing this one, in lexicographic order
-        of the label sequence (positions taken in stable label order)."""
-        labels = self.labels
+    def extension_sequences(self) -> list:
+        """Increasing label sequences of every linear order containing this
+        one, in lexicographic order (positions taken in stable label order)."""
         pairs = self.pairs
         out = []
-        seq = []
-        remaining = list(labels)
 
-        def backtrack():
+        def extend(prefix, remaining):
             if not remaining:
-                out.append(Ordering.chain(tuple(seq), labels))
-                return
-            for lab in list(remaining):
-                if any((other, lab) in pairs for other in remaining if other != lab):
-                    continue
-                remaining.remove(lab)
-                seq.append(lab)
-                backtrack()
-                seq.pop()
-                remaining.append(lab)
-                remaining.sort(key=labels.index)
+                out.append(prefix)
+            for lab in remaining:
+                if not any((other, lab) in pairs for other in remaining):
+                    extend(prefix + (lab,), tuple(o for o in remaining if o != lab))
 
-        backtrack()
+        extend((), self.labels)
         return out
+
+    def linear_extensions(self) -> list:
+        """Every linear order containing this one, as chains in the order of
+        :meth:`extension_sequences`."""
+        return [Ordering.chain(seq, self.labels) for seq in self.extension_sequences()]
 
     def covering_pairs(self) -> list:
         """Transitive reduction, for rendering."""
@@ -283,7 +278,7 @@ def configuration_extensions(cfg: Configuration) -> Iterator[Configuration]:
 def extension_count(cfg: Configuration) -> int:
     count = 1
     for o in cfg.orders:
-        count *= len(o.linear_extensions())
+        count *= len(o.extension_sequences())
     return count
 
 
@@ -346,34 +341,33 @@ def satisfies(p: PointAssignment, cfg: Configuration) -> bool:
     return True
 
 
-def _int_rows(rows):
-    """Clear denominators row-wise (positive scaling keeps the det sign)."""
+def _int_rows(rows) -> tuple:
+    """Clear denominators row-wise: (integer rows, product of the row
+    scales).  The scales are positive, so the determinant keeps its sign."""
     out = []
+    scale = 1
     for row in rows:
         denominator_lcm = 1
         for v in row:
-            d = v.denominator if isinstance(v, Fraction) else 1
-            denominator_lcm = denominator_lcm * d // gcd(denominator_lcm, d)
+            denominator_lcm = lcm(denominator_lcm, v.denominator)
         out.append([int(v * denominator_lcm) for v in row])
-    return out
+        scale *= denominator_lcm
+    return out, scale
 
 
-def _det_sign_int(rows) -> int:
-    """Exact determinant sign of a square integer matrix (Bareiss)."""
+def _det_int(rows) -> int:
+    """Exact determinant of a square integer matrix (Bareiss)."""
     k = len(rows)
     if k == 0:
         return 1
     if k == 1:
-        a = rows[0][0]
-        return (a > 0) - (a < 0)
+        return rows[0][0]
     if k == 2:
         (a, b), (c, d) = rows
-        v = a * d - b * c
-        return (v > 0) - (v < 0)
+        return a * d - b * c
     if k == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
-        v = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        return (v > 0) - (v < 0)
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [row[:] for row in rows]
     sign = 1
     prev = 1
@@ -391,8 +385,13 @@ def _det_sign_int(rows) -> int:
                 m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
             m[r][col] = 0
         prev = m[col][col]
-    v = m[k - 1][k - 1]
-    return sign * ((v > 0) - (v < 0))
+    return sign * m[k - 1][k - 1]
+
+
+def _det_sign_int(rows) -> int:
+    """Exact determinant sign of a square integer matrix."""
+    v = _det_int(rows)
+    return (v > 0) - (v < 0)
 
 
 def det_sign(p: PointAssignment) -> DetSign:
@@ -409,4 +408,4 @@ def det_sign(p: PointAssignment) -> DetSign:
         [p.value(lab, axis) - p.value(first, axis) for lab in p.labels[1:]]
         for axis in p.axes
     ]
-    return DetSign(_det_sign_int(_int_rows(rows)))
+    return DetSign(_det_sign_int(_int_rows(rows)[0]))

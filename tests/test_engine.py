@@ -1,6 +1,7 @@
 """Fixity deciders: base dimensions, expansion, extreme-element lemma,
 partial inputs, certificates, and the n>=5 frontier."""
 
+import copy
 import os
 import random
 import subprocess
@@ -254,6 +255,72 @@ def test_extreme_lemma_examples():
     assert replay_certificate(tangled, verdict)
 
 
+def tampered(verdict, edit, sign=None):
+    cert = copy.deepcopy(verdict.certificate)
+    edit(cert)
+    return FixityVerdict(verdict.status, sign or verdict.sign, cert)
+
+
+def test_replay_rejects_tampered_certificates():
+    up = Configuration.from_sequences(("A", "B"), ("x",), (("A", "B"),))
+    assert not replay_certificate(up, tampered(decide(up), lambda c: None, ConfigSign.MINUS))
+    skew = linear3("ABC", "BCA")
+    assert not replay_certificate(skew, tampered(decide(skew), lambda c: None, ConfigSign.MINUS))
+    claim = {"type": "dim2_non_fixed", "relation": "equal"}
+    assert not replay_certificate(skew, FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, claim))
+
+    cfg = fixed_n4_configs()[0]
+    expansion = decide_dim3(cfg)
+    assert replay_certificate(cfg, expansion)
+
+    def flip_sign(cert):
+        cert["sign"] = "-" if cert["sign"] == "+" else "+"
+
+    assert not replay_certificate(cfg, tampered(expansion, flip_sign))
+    assert not replay_certificate(cfg, tampered(expansion, lambda c: c["terms"].pop()))
+
+    ext = subset_13710_extension()
+    lemma = non_fixed_by_extreme_lemma(ext)
+    assert replay_certificate(ext, lemma)
+    step = lemma.certificate["steps"][0]
+    middle = ext.order_for(step["axis"]).sequence()[1]
+    assert not replay_certificate(ext, tampered(lemma, lambda c: c["steps"][0].update(label=middle)))
+    other = {"equal": "reversed", "reversed": "equal"}[lemma.certificate["base"]["relation"]]
+    assert not replay_certificate(ext, tampered(lemma, lambda c: c["base"].update(relation=other)))
+
+    from simplexfix import GroupElement, apply
+    from simplexfix.equivalence import code_of
+
+    equivalent = decide(cfg)
+    assert equivalent.certificate["type"] == "equivalent"
+    perm = list(equivalent.certificate["label_perm"])
+    perm[0], perm[1] = perm[1], perm[0]
+    g = GroupElement(tuple(equivalent.certificate["axis_source"]), tuple(perm),
+                     tuple(equivalent.certificate["reversals"]))
+    rep = equivalent.certificate["representative"]
+    assert code_of(apply(g, cfg)) != code_of(
+        Configuration.from_sequences(rep["labels"], rep["axes"], rep["sequences"])
+    )
+    assert not replay_certificate(cfg, tampered(equivalent, lambda c: c.update(label_perm=perm)))
+
+    partial = subset_13710()
+    extension = decide(partial)
+    assert extension.certificate["type"] == "extension"
+    # 7 < 3 on x in the input; the tampered extension puts 3 first
+    assert not replay_certificate(
+        partial, tampered(extension, lambda c: c["orders"].update(x=["3", "7", "1", "10"]))
+    )
+
+    for config, verdict, key in (
+        (cfg, expansion, "pivot"),
+        (ext, lemma, "steps"),
+        (cfg, equivalent, "representative"),
+        (partial, extension, "orders"),
+    ):
+        with pytest.raises(KeyError):
+            replay_certificate(config, tampered(verdict, lambda c: c.pop(key)))
+
+
 def test_decide_partial_cloud_subsets():
     assert decide(subset_15910()).status is Status.FIXED
     assert decide(subset_2589()).status is Status.FIXED
@@ -344,6 +411,31 @@ def test_dim5_fixed_by_expansion():
     assert verdict.sign is ConfigSign.PLUS
     assert sample_signs(FIXED5, 5, 600) == {"pos": 600, "neg": 0, "zero": 0}
     assert replay_certificate(FIXED5, verdict)
+
+
+def test_engine_builds_orderings_only_for_certificate_payloads(monkeypatch):
+    from simplexfix import engine, orders
+
+    partial = subset_13710()
+    built = []
+    original = orders.Ordering.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(orders.Ordering, "__post_init__", counted)
+    engine.clear_memo()
+    for cfg, payload_orderings in ((FIXED5, 4), (partial, 6)):
+        verdict = decide(cfg)
+        assert built == []
+        # an equivalent certificate's representative has one ordering per
+        # axis; an extension certificate adds the extension's orders
+        assert replay_certificate(cfg, verdict)
+        assert len(built) == payload_orderings
+        built.clear()
+    build_witness(partial)
+    assert built == []
 
 
 def test_dim5_frontier_is_flagged_with_samples():

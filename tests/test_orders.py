@@ -1,5 +1,6 @@
 """Orderings, configurations, extensions, satisfaction, determinant signs."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,6 +24,8 @@ from simplexfix import (
     reverse,
     satisfies,
 )
+from simplexfix.engine import _det_value
+from simplexfix.orders import _det_int, _det_sign_int
 from conftest import subset_13710_extension, subset_15910
 
 LABELS3 = ("A", "B", "C")
@@ -137,6 +140,7 @@ def test_linear_extensions_contain_and_match_oracle(o):
         assert o.pairs <= ext.pairs
     oracle = brute_force_extensions(o)
     assert sorted(e.sequence() for e in exts) == sorted(oracle)
+    assert o.extension_sequences() == [e.sequence() for e in exts]
 
 
 def test_configuration_extension_counts():
@@ -231,3 +235,37 @@ def test_point_assignment_validation():
         PointAssignment.from_points({"A": (0,), "B": (1, 2)}, ("x",))
     with pytest.raises(ValueError):
         Configuration.from_sequences(("A", "B", "C"), ("x",), [("A", "B", "C")])
+
+
+def leibniz_det(m):
+    """Reference: the determinant as a signed sum over permutations."""
+    k = len(m)
+    total = 0
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def test_exact_determinant_matches_leibniz():
+    rng = random.Random(41)
+    for k in range(7):
+        for _ in range(15):
+            # small entries make zero pivots and singular matrices common
+            ints = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            expected = leibniz_det(ints)
+            assert _det_int(ints) == expected
+            assert _det_sign_int(ints) == (expected > 0) - (expected < 0)
+            fracs = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(k)]
+                for _ in range(k)
+            ]
+            # _det_value takes the columns as differences to label 0's values
+            values = {(0, a): Fraction(rng.randint(-3, 3), 2) for a in range(k)}
+            for a in range(k):
+                for j in range(k):
+                    values[(j + 1, a)] = values[(0, a)] + fracs[a][j]
+            assert _det_value(tuple(range(k + 1)), tuple(range(k)), values) == leibniz_det(fracs)

@@ -105,6 +105,34 @@ def test_witness_follows_a_supplied_certificate_chain():
         build_witness(ext, bogus)
 
 
+@pytest.mark.parametrize(
+    "step, relation",
+    [
+        # the base pair {7,3,1} is equal on x and y, not reversed
+        ({"label": "10", "axis": "z", "extreme": "max"}, "reversed"),
+        # 10 is the maximum on z, not the minimum
+        ({"label": "10", "axis": "z", "extreme": "min"}, "equal"),
+    ],
+)
+def test_supplied_chain_is_checked_step_by_step(step, relation):
+    from conftest import subset_13710_extension
+    from simplexfix import ConfigSign, FixityVerdict, replay_certificate
+
+    ext = subset_13710_extension()
+    wrong = FixityVerdict(
+        Status.NON_FIXED,
+        ConfigSign.BOTH,
+        {
+            "type": "extreme_lemma",
+            "steps": [step],
+            "base": {"type": "dim2_non_fixed", "relation": relation},
+        },
+    )
+    with pytest.raises(ValueError, match="certificate invalid"):
+        build_witness(ext, wrong)
+    assert not replay_certificate(ext, wrong)
+
+
 def test_fixed_configurations_refuse_witnesses():
     with pytest.raises(NotNonFixedError):
         build_witness(Configuration.from_sequences(LABELS3, ("x", "y"), (LABELS3, ("B", "C", "A"))))
