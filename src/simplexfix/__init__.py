@@ -1,8 +1,8 @@
 """simplexfix: do per-axis orderings of labeled points pin down the
 orientation of their simplex?
 
-The package decides fixity of ordering configurations (exactly in
-dimensions 1-3, semi-decision above), enumerates and counts
+The package decides fixity of ordering configurations exactly (up to
+``MAX_LABELS`` labels), enumerates and counts
 configurations up to symmetry, constructs exact rational witnesses for
 non-fixity, and scans landmark point clouds subset by subset.
 """
@@ -19,10 +19,12 @@ from .engine import (
     CrossCheckError,
     FixityVerdict,
     InternalCheckError,
+    MAX_LABELS,
     NotNonFixedError,
     Status,
     WitnessPair,
     build_witness,
+    check_size,
     crosscheck_dim3,
     decide,
     decide_dim1,

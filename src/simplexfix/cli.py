@@ -5,7 +5,8 @@ Subcommands: ``decide``, ``extensions``, ``canon``, ``count-classes``,
 arguments are file paths (``-`` for stdin) in the text or JSON format of
 :mod:`simplexfix.configio`.
 
-Exit codes: 0 success, 1 usage error, 2 unparseable input (with
+Exit codes: 0 success, 1 usage error (including a configuration of more
+than ``engine.MAX_LABELS`` labels), 2 unparseable input (with
 ``line:column`` diagnostics).  Flag defaults honor environment variables
 ``SIMPLEXFIX_FORMAT``, ``SIMPLEXFIX_SEED``, ``SIMPLEXFIX_SAMPLES`` and
 ``SIMPLEXFIX_THREADS``; a malformed value is a usage error.  Identical invocations print byte-identical
@@ -31,6 +32,7 @@ from .engine import (
     NotNonFixedError,
     Status,
     build_witness,
+    check_size,
     decide,
     sample_signs,
 )
@@ -69,7 +71,7 @@ def _add_common(parser: _Parser) -> None:
     )
 
 
-def _add_sampling(parser: _Parser) -> None:
+def _add_sampling(parser: _Parser, samples_help: str = "sample count") -> None:
     parser.add_argument(
         "--seed",
         type=int,
@@ -80,7 +82,7 @@ def _add_sampling(parser: _Parser) -> None:
         "--samples",
         type=int,
         default=_env_default("SAMPLES", 1000, int),
-        help="sample count (default 1000; env SIMPLEXFIX_SAMPLES)",
+        help=f"{samples_help} (default 1000; env SIMPLEXFIX_SAMPLES)",
     )
 
 
@@ -91,7 +93,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decide", help="decide fixity of a configuration")
     p.add_argument("config", help="configuration file ('-' for stdin)")
     _add_common(p)
-    _add_sampling(p)
+    _add_sampling(p, "sample count of the sample subcommand; no effect on decide")
     p.add_argument(
         "--debug-crosscheck",
         action="store_true",
@@ -149,7 +151,9 @@ def _read_source(path: str) -> str:
 
 
 def _load_configuration(path: str):
-    return parse_configuration(_read_source(path))
+    cfg = parse_configuration(_read_source(path))
+    check_size(cfg.n())
+    return cfg
 
 
 def _print_verdict_text(verdict) -> None:
@@ -157,20 +161,13 @@ def _print_verdict_text(verdict) -> None:
         print(f"fixed {verdict.sign}")
     elif verdict.status is Status.NON_FIXED:
         print("non_fixed")
-    elif verdict.frontier:
-        print("unknown (conjecture frontier)")
     else:
         print("unknown")
 
 
 def _cmd_decide(args) -> int:
     cfg = _load_configuration(args.config)
-    verdict = decide(
-        cfg,
-        debug_crosscheck=args.debug_crosscheck,
-        frontier_samples=args.samples,
-        seed=args.seed,
-    )
+    verdict = decide(cfg, debug_crosscheck=args.debug_crosscheck, seed=args.seed)
     if args.format == "json":
         print(json.dumps(verdict.to_json(), sort_keys=True))
     else:

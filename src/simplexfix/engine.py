@@ -11,10 +11,18 @@ Decision strategy by size of the label set:
   excluded label, relabeling of the remaining triple, axis roles, and
   reversal mask exhibits the cyclic triple pattern together with one
   triple label uniformly comparable to the excluded one.
-* n >= 5: semi-decision.  Formal fixity by cofactor expansion is a sound
-  certificate for FIXED; removing an extreme label together with an axis
-  whose induced sub-configuration is non-fixed is a sound certificate for
-  NON_FIXED.  Anything else is UNKNOWN and flagged as conjecture frontier.
+* n >= 5: three sound deciders in turn.  First the extreme-element lemma:
+  removing an extreme label together with an axis whose induced
+  sub-configuration is non-fixed certifies NON_FIXED.  Then the paper's
+  cofactor expansion: a definite formal sign certifies FIXED.  At most one
+  of the two can succeed; when neither does, the ray-determinant
+  criterion decides.  The determinant is multilinear in the axis rows and
+  each axis's satisfying coordinates form an open cone generated by the
+  indicator vectors of its proper nonempty up-sets (plus translations),
+  so the configuration is fixed iff the determinants of all tuples of one
+  generator per axis share a weak sign (they cannot all vanish, as the
+  satisfying region is open), and non-fixed as soon as one tuple is
+  positive and one negative.
 
 Partial configurations reduce to their linear extensions: non-fixed as
 soon as one extension is, fixed when all extensions are fixed with one
@@ -34,6 +42,10 @@ per-axis label sequences of a linear configuration: one dispatch
 the extensions of partial inputs; one walker (``_walk_chain``) follows and
 checks extreme-removal chains for witnesses and replay; replay compares
 codes under the group action instead of rebuilding orderings.
+
+Configurations of more than :data:`MAX_LABELS` labels are refused with a
+ValueError: the ray criterion has ``(n-1)^(n-1)`` tuples and the lemma and
+expansion searches grow factorially.
 """
 
 from __future__ import annotations
@@ -43,7 +55,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from . import equivalence
@@ -58,6 +72,16 @@ from .orders import (
     satisfies,
 )
 from .signs import ConfigSign, DetSign, FormalSign, fadd, fmul
+
+
+MAX_LABELS = 8
+
+
+def check_size(n: int) -> None:
+    """Refuse configurations of more than :data:`MAX_LABELS` labels with a
+    ValueError naming the limit."""
+    if n > MAX_LABELS:
+        raise ValueError(f"configurations of more than {MAX_LABELS} labels are not supported (got {n})")
 
 
 class NotNonFixedError(ValueError):
@@ -83,15 +107,15 @@ class FixityVerdict:
     """Outcome of a fixity decision.
 
     ``sign`` is PLUS or MINUS for FIXED, BOTH for NON_FIXED, None for
-    UNKNOWN.  ``frontier`` marks n >= 5 UNKNOWNs, where the semi-decision
-    found no certificate; such a configuration may be fixed or non-fixed.
+    UNKNOWN.  :func:`decide` answers FIXED or NON_FIXED at every supported
+    size (lemma, then expansion, then the ray criterion at n >= 5); the
+    sub-deciders such as :func:`formally_fixed_by_expansion` answer
+    UNKNOWN when their own certificate does not exist.
     """
 
     status: Status
     sign: ConfigSign | None
     certificate: dict | None = None
-    frontier: bool = False
-    samples: dict | None = None
 
     def to_json(self) -> dict:
         out = {"status": self.status.value}
@@ -99,10 +123,6 @@ class FixityVerdict:
             out["sign"] = str(self.sign)
         if self.certificate is not None:
             out["certificate"] = self.certificate
-        if self.frontier:
-            out["frontier"] = True
-        if self.samples is not None:
-            out["samples"] = self.samples
         return out
 
 
@@ -297,8 +317,7 @@ def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
     """Search all ordered pivot pairs for a definite expansion sign.
 
     Sound for FIXED at every n; complete at n <= 4.  Children are decided
-    exactly up to n = 4 and recursively semi-decided beyond.  Returns
-    UNKNOWN when every pivot collapses.
+    exactly.  Returns UNKNOWN when every pivot collapses.
     """
     if cfg.n() < 3:
         raise ValueError("expansion needs at least three labels")
@@ -385,6 +404,115 @@ def _lemma_verdict(lin: _Lin) -> FixityVerdict:
     if cert is None:
         return FixityVerdict(Status.UNKNOWN, None, None)
     return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
+
+
+# ---------------------------------------------------------------------------
+# the ray-determinant criterion
+
+
+@lru_cache(maxsize=None)
+def _wedge_plans(n: int) -> tuple:
+    """Laplace steps for growing the minors of a padded n x n matrix row by
+    row.  ``plans[level][c]`` lists ``(s, sign, p)``: when column ``c`` of
+    row ``level + 1`` goes from 0 to 1, the minor on the ``level + 2``
+    column subset number ``s`` changes by ``sign`` times the minor of the
+    first ``level + 1`` rows on subset number ``p`` (subsets numbered in
+    :func:`itertools.combinations` order)."""
+    plans = []
+    for level in range(n - 1):
+        index = {sub: i for i, sub in enumerate(combinations(range(n), level + 1))}
+        plan = [[] for _ in range(n)]
+        for s, sub in enumerate(combinations(range(n), level + 2)):
+            for j, c in enumerate(sub):
+                sign = -1 if (level + 1 + j) % 2 else 1
+                plan[c].append((s, sign, index[sub[:j] + sub[j + 1 :]]))
+        plans.append(tuple(tuple(steps) for steps in plan))
+    return tuple(plans)
+
+
+def _ray_search(lin: _Lin) -> dict:
+    """Determinant signs of every tuple of one up-set generator per axis.
+
+    Axis ``a`` contributes the indicator vector of ``seqs[a][n - s:]`` for
+    a size ``s`` in ``1..n-1``; a tuple is its list of sizes.  Tuples are
+    visited in lexicographic order of their sizes.  The minors of each
+    prefix (the padding row of ones, then one row per axis so far) are
+    shared by every tuple extending it, and stepping an axis to its next
+    up-set adds one label, so only the minors on column sets holding that
+    label change.  Returns ``{sign: sizes}`` for the first tuple of each
+    nonzero sign met, stopping as soon as both are.
+    """
+    n = len(lin.labels)
+    column = {lab: i for i, lab in enumerate(lin.labels)}
+    plans = _wedge_plans(n)
+    sizes = [0] * (n - 1)
+    found = {}
+
+    def extend(level, prev):
+        plan = plans[level]
+        seq = lin.seqs[level]
+        cur = [0] * comb(n, level + 2)
+        for s in range(1, n):
+            for i, sign, p in plan[column[seq[n - s]]]:
+                cur[i] += sign * prev[p]
+            sizes[level] = s
+            if level + 2 < n:
+                if extend(level + 1, cur):
+                    return True
+            elif cur[0]:
+                d = 1 if cur[0] > 0 else -1
+                if d not in found:
+                    found[d] = list(sizes)
+                    if len(found) == 2:
+                        return True
+        return False
+
+    extend(0, [1] * n)
+    return found
+
+
+def _ray_sizes(lin: _Lin, upsets: Mapping) -> list:
+    """Per-axis sizes of the up-sets a ray certificate names (label lists
+    keyed by axis); ValueError when one is not a proper nonempty up-set of
+    its axis."""
+    n = len(lin.labels)
+    sizes = []
+    for axis, seq in zip(lin.axes, lin.seqs):
+        up = upsets[axis]
+        if not 0 < len(up) < n or set(up) != set(seq[n - len(up) :]):
+            raise ValueError(f"certificate invalid: {up!r} is not a proper nonempty up-set of {axis!r}")
+        sizes.append(len(up))
+    return sizes
+
+
+def _ray_rows(lin: _Lin, sizes) -> list:
+    """Coordinate-difference rows (columns ``labels[1:]`` minus
+    ``labels[0]``) of the tuple of up-set generators of the given sizes."""
+    n = len(lin.labels)
+    rows = []
+    for seq, s in zip(lin.seqs, sizes):
+        up = set(seq[n - s :])
+        base = lin.labels[0] in up
+        rows.append([(lab in up) - base for lab in lin.labels[1:]])
+    return rows
+
+
+def _ray_verdict(lin: _Lin) -> FixityVerdict:
+    """Exact decision of a linear configuration by the ray criterion."""
+    found = _ray_search(lin)
+    if len(found) == 2:
+        n = len(lin.labels)
+        cert = {"type": "ray_pair"}
+        for key, d in (("plus", 1), ("minus", -1)):
+            cert[key] = {
+                axis: list(seq[n - s :]) for axis, seq, s in zip(lin.axes, lin.seqs, found[d])
+            }
+        return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
+    if not found:
+        raise InternalCheckError("the satisfying region is open, so some ray determinant is nonzero")
+    sign = ConfigSign(next(iter(found)))
+    m = len(lin.axes)
+    return FixityVerdict(Status.FIXED, sign, {"type": "ray_all", "tuples": m**m, "sign": str(sign)})
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +652,13 @@ def _decide_memoized(lin: _Lin) -> FixityVerdict:
         if n == 4:
             verdict = _dim3_verdict(rep)
         else:
-            verdict = _expansion_verdict(rep)
+            # lemma and expansion are sound for opposite answers, so at most
+            # one succeeds; the lemma is cheap and decides most inputs
+            verdict = _lemma_verdict(rep)
             if verdict.status is Status.UNKNOWN:
-                verdict = _lemma_verdict(rep)
+                verdict = _expansion_verdict(rep)
+            if verdict.status is Status.UNKNOWN:
+                verdict = _ray_verdict(rep)
         rep_payload = {
             "labels": list(rep.labels),
             "axes": list(rep.axes),
@@ -534,8 +666,6 @@ def _decide_memoized(lin: _Lin) -> FixityVerdict:
         }
         hit = _MEMO[canon] = (verdict, rep_payload)
     verdict, rep_payload = hit
-    if verdict.status is Status.UNKNOWN:
-        return FixityVerdict(Status.UNKNOWN, None, None, frontier=True)
     cert = {
         "type": "equivalent",
         "axis_source": list(g.axis_source),
@@ -617,17 +747,16 @@ def decide(
     orientations are trivially realizable; at n >= 3 a clash would
     contradict the convexity of the satisfying region and raises.
 
-    UNKNOWN verdicts at n >= 5 are flagged ``frontier`` and carry sampling
-    statistics (``frontier_samples`` draws from ``seed``).
+    Linear inputs of n >= 5 labels are decided by the extreme-element
+    lemma, then the cofactor expansion, then the ray-determinant
+    criterion, so every verdict is FIXED or NON_FIXED.  ``seed`` seeds the
+    search for a sampled witness on partial inputs with a totally
+    incomparable pair; ``frontier_samples`` no longer has an effect.
+    Raises ValueError above :data:`MAX_LABELS` labels.
     """
+    check_size(cfg.n())
     if cfg.is_linear():
-        verdict = _decide_lin(_Lin.of(cfg), debug_crosscheck)
-        if verdict.frontier and frontier_samples > 0:
-            samples = sample_signs(cfg, seed, frontier_samples)
-            verdict = FixityVerdict(
-                verdict.status, verdict.sign, verdict.certificate, True, samples
-            )
-        return verdict
+        return _decide_lin(_Lin.of(cfg), debug_crosscheck)
 
     pair = _totally_incomparable_pair(cfg)
     if pair is not None and cfg.n() >= 3:
@@ -644,7 +773,6 @@ def decide(
 
     signs = set()
     count = 0
-    saw_unknown = False
     for ext in _extensions(cfg):
         verdict = _decide_lin(ext, debug_crosscheck)
         count += 1
@@ -655,16 +783,7 @@ def decide(
                 "inner": verdict.certificate,
             }
             return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
-        if verdict.status is Status.UNKNOWN:
-            saw_unknown = True
-        else:
-            signs.add(verdict.sign)
-    if saw_unknown:
-        verdict = FixityVerdict(Status.UNKNOWN, None, None, frontier=True)
-        if frontier_samples > 0:
-            samples = sample_signs(cfg, seed, frontier_samples)
-            verdict = FixityVerdict(Status.UNKNOWN, None, None, True, samples)
-        return verdict
+        signs.add(verdict.sign)
     if len(signs) == 1:
         sign = signs.pop()
         cert = {"type": "extensions_all_fixed", "count": count, "sign": str(sign)}
@@ -796,16 +915,50 @@ def _lift_witness(lin: _Lin, e, axis_index: int, child_pairs):
     return results[1], results[-1]
 
 
+def _ray_witness(lin: _Lin, cert: dict):
+    """Witness pair from a ``ray_pair`` certificate.
+
+    For each named tuple, every up-set generator of an axis gets weight 1
+    except the named one, which gets weight ``t``; a label's coordinate is
+    the total weight of the generators containing it, so the orders hold.
+    The determinant is then a polynomial in ``t`` whose ``t^m`` coefficient
+    is the named tuple's determinant, a nonzero integer; every other
+    coefficient sums at most ``m^m`` tuple determinants of at most
+    ``m^(m/2)`` each (Hadamard), so past the Cauchy bound ``1 + m^(2m)``
+    the sign is the named one.  ``t`` doubles from 2 until the sign holds.
+    """
+    m = len(lin.axes)
+    bound = 1 + m ** (2 * m)
+    pair = []
+    for key, want in (("plus", 1), ("minus", -1)):
+        sizes = _ray_sizes(lin, cert[key])
+        if _det_sign_int(_ray_rows(lin, sizes)) != want:
+            raise ValueError(f"certificate invalid: the {key!r} tuple has the wrong determinant sign")
+        t = 2
+        while True:
+            values = {
+                (lab, axis): p + (t - 1) * (p >= m + 1 - s)
+                for axis, seq, s in zip(lin.axes, lin.seqs, sizes)
+                for p, lab in enumerate(seq)
+            }
+            if _det_sign_of_values(lin, values) == want:
+                break
+            if t > bound:
+                raise InternalCheckError("ray witness sign does not hold past the Cauchy bound")
+            t *= 2
+        pair.append(values)
+    return tuple(pair)
+
+
 def _witness_values_linear(lin: _Lin, cert: dict | None = None):
     if len(lin.labels) == 2:
         raise NotNonFixedError("a linear two-label configuration is always fixed")
     if cert is None:
-        cert = _lemma_certificate(lin)
-        if cert is None:
-            raise NotNonFixedError(
-                "no extreme-removal chain found; the configuration is fixed "
-                "or beyond the non-fixity semi-decision"
-            )
+        cert = _lemma_certificate(lin) or _ray_verdict(lin).certificate
+    if cert["type"] == "ray_all":
+        raise NotNonFixedError("the configuration is fixed")
+    if cert["type"] == "ray_pair":
+        return _ray_witness(lin, cert)
     stack, base = _walk_chain(lin, cert)
     pair = _witness_dim2_values(base)
     for parent, e, a in reversed(stack):
@@ -818,14 +971,16 @@ def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> W
 
     Both assignments satisfy the configuration and their determinant signs
     are strictly opposite; the result is verified exactly before being
-    returned.  When ``verdict`` carries an extreme-removal certificate its
-    chain is followed (and validated) instead of searching afresh.  Raises
-    :class:`NotNonFixedError` when the configuration is fixed (or, beyond
-    n = 4, not provably non-fixed).
+    returned.  When ``verdict`` carries an extreme-removal or ``ray_pair``
+    certificate it is followed (and validated) instead of searching
+    afresh; the search tries an extreme-removal chain, then the ray
+    criterion.  Raises :class:`NotNonFixedError` when the configuration is
+    fixed, ValueError above :data:`MAX_LABELS` labels.
     """
+    check_size(cfg.n())
     cert = None
     if verdict is not None and verdict.certificate is not None:
-        if verdict.certificate.get("type") == "extreme_lemma":
+        if verdict.certificate.get("type") in ("extreme_lemma", "ray_pair"):
             cert = verdict.certificate
     if cfg.is_linear():
         plus, minus = _witness_values_linear(_Lin.of(cfg), cert)
@@ -840,7 +995,7 @@ def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> W
                 plus, minus = _witness_values_linear(ext)
                 break
         else:
-            raise NotNonFixedError("no provably non-fixed linear extension found")
+            raise NotNonFixedError("every linear extension is fixed")
     pair = WitnessPair(
         PointAssignment(cfg.labels, cfg.axes, plus),
         PointAssignment(cfg.labels, cfg.axes, minus),
@@ -892,17 +1047,25 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         return fresh.status is status and fresh.sign is sign and fresh.certificate["type"] == kind
     if kind == "expansion":
         e_i, e_j = cert["pivot"]
-        axes = [term["axis"] for term in cert["terms"]]
-        if e_i == e_j or len(axes) != len(lin.axes) or set(axes) != set(lin.axes):
+        terms = cert["terms"]
+        if e_i == e_j or [term["axis"] for term in terms] != list(lin.axes):
             return False
         children = [_decide_lin(lin.drop(e_i, a)) for a in range(len(lin.axes))]
         value = _expansion_sign(lin, e_i, e_j, children)
-        return (
+        if not (
             status is Status.FIXED
             and value.definite
             and sign is ConfigSign(value.value)
             and str(value) == cert["sign"]
-        )
+        ):
+            return False
+        fresh = _expansion_fixed(lin, e_i, e_j, children, value).certificate["terms"]
+        for a, (term, want, child) in enumerate(zip(terms, fresh, children)):
+            if any(term[key] != want[key] for key in ("parity", "diff", "child_status", "child_sign")):
+                return False
+            if not _replay_lin(lin.drop(e_i, a), child.status, child.sign, term["child"]):
+                return False
+        return True
     if kind == "extreme_lemma":
         if status is not Status.NON_FIXED:
             return False
@@ -911,6 +1074,21 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         except ValueError:
             return False
         return True
+    if kind == "ray_pair":
+        try:
+            rows = [_ray_rows(lin, _ray_sizes(lin, cert[key])) for key in ("plus", "minus")]
+        except ValueError:
+            return False
+        return status is Status.NON_FIXED and [_det_sign_int(r) for r in rows] == [1, -1]
+    if kind == "ray_all":
+        found = _ray_search(lin)
+        m = len(lin.axes)
+        return (
+            status is Status.FIXED
+            and cert["tuples"] == m**m
+            and list(found) == [sign.value]
+            and cert["sign"] == str(sign)
+        )
     if kind == "equivalent":
         g = equivalence.GroupElement(
             tuple(cert["axis_source"]),
@@ -947,6 +1125,7 @@ def replay_certificate(cfg: Configuration, verdict: FixityVerdict) -> bool:
     Returns False when the certificate does not substantiate the claimed
     status and sign; raises on malformed certificates.
     """
+    check_size(cfg.n())
     if verdict.certificate is None:
         return verdict.status is Status.UNKNOWN
     return _replay(cfg, verdict.status, verdict.sign, verdict.certificate)

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .configio import InputFormatError
-from .engine import FixityVerdict, decide
+from .engine import FixityVerdict, check_size, decide
 from .equivalence import default_axes
 from .orders import Configuration, Ordering, _as_fraction
 
@@ -230,7 +230,10 @@ def scan(cloud: PointCloud, threads: int = 1, jitter_seed: int | None = None) ->
 
     Subsets iterate lexicographically in the cloud's stable label order;
     results are collected in that order regardless of thread count.
+    Raises ValueError when a subset would exceed the engine's
+    ``MAX_LABELS`` labels, before listing any subset.
     """
+    check_size(cloud.dimension + 1)
     if len(cloud.labels) < cloud.dimension + 1:
         raise ValueError("cloud has fewer points than dimension+1")
     source = jitter(cloud, jitter_seed) if jitter_seed is not None else cloud

@@ -188,6 +188,25 @@ def test_malformed_env_var_is_a_usage_error(tmp_path, capsys, monkeypatch, name)
     assert name in err and "'12x'" in err
 
 
+def test_configurations_above_the_size_limit_exit_1(tmp_path, capsys):
+    labels = "ABCDEFGHI"  # 9 labels, one more than the supported 8
+    axes = [f"a{i}" for i in range(8)]
+    cfg = write(tmp_path, "big.cfg", "".join(f"{a}: {' < '.join(labels)}\n" for a in axes))
+    csv = write(
+        tmp_path,
+        "big.csv",
+        "label," + ",".join(axes) + "\n"
+        + "".join(f"{lab}," + ",".join([str(i)] * 8) + "\n" for i, lab in enumerate(labels)),
+    )
+    for command in ("decide", "extensions", "canon", "witness", "sample", "scan"):
+        code, out, err = run(capsys, command, csv if command == "scan" else cfg)
+        assert code == 1 and out == "", command
+        assert "more than 8 labels are not supported (got 9)" in err, command
+    for command in ("count-classes", "enumerate-classes"):
+        code, out, err = run(capsys, command, "9", "--allow-long")
+        assert code == 1 and out == "" and "got 9" in err, command
+
+
 def test_json_configuration_input(tmp_path, capsys):
     payload = {
         "labels": ["A", "B", "C"],

@@ -1,5 +1,6 @@
 """Fixity deciders: base dimensions, expansion, extreme-element lemma,
-partial inputs, certificates, and the n>=5 frontier."""
+the ray-determinant criterion, partial inputs, certificates, and the
+size limit."""
 
 import copy
 import os
@@ -321,6 +322,148 @@ def test_replay_rejects_tampered_certificates():
             replay_certificate(config, tampered(verdict, lambda c: c.pop(key)))
 
 
+def _flip(symbol):
+    return {"+": "-", "-": "+"}[symbol]
+
+
+TERM_EDITS = {
+    "axis": lambda t: t.update(axis="y" if t["axis"] == "x" else "x"),
+    "parity": lambda t: t.update(parity=_flip(t["parity"])),
+    "diff": lambda t: t.update(diff=_flip(t["diff"])),
+    "child_status": lambda t: t.update(child_status="non_fixed"),
+    "child_sign": lambda t: t.update(child_sign=_flip(t["child_sign"])),
+    "child": lambda t: t.update(child={"type": "dim2_non_fixed", "relation": "equal"}),
+}
+
+
+@pytest.mark.parametrize("field", list(TERM_EDITS))
+def test_replay_checks_every_expansion_term(field):
+    cfg = fixed_n4_configs()[0]
+    expansion = decide_dim3(cfg)
+    assert replay_certificate(cfg, expansion)
+    for k in range(3):
+        edited = tampered(expansion, lambda c: TERM_EDITS[field](c["terms"][k]))
+        assert not replay_certificate(cfg, edited), k
+
+
+def _ray_reference(lin):
+    """First tuple of each nonzero determinant sign, one determinant
+    (integer Bareiss) per tuple."""
+    from simplexfix.engine import _ray_rows
+    from simplexfix.orders import _det_sign_int
+
+    n = len(lin.labels)
+    found = {}
+    for sizes in product(range(1, n), repeat=n - 1):
+        d = _det_sign_int(_ray_rows(lin, sizes))
+        if d and d not in found:
+            found[d] = list(sizes)
+            if len(found) == 2:
+                break
+    return found
+
+
+def test_ray_search_matches_one_determinant_per_tuple():
+    from simplexfix.engine import _Lin, _ray_search
+
+    rng = random.Random(41)
+    for n, count in ((2, 4), (3, 40), (4, 200), (5, 200), (6, 30)):
+        labels = tuple("ABCDEF"[:n])
+        axes = tuple(f"a{i}" for i in range(n - 1))
+        for _ in range(count):
+            lin = _Lin(labels, axes, tuple(tuple(rng.sample(labels, n)) for _ in axes))
+            assert _ray_search(lin) == _ray_reference(lin), lin.seqs
+
+
+def test_ray_criterion_agrees_with_decide_at_n3_and_n4():
+    from simplexfix import enumerate_classes
+    from simplexfix.engine import _Lin, _ray_verdict
+
+    rng = random.Random(42)
+    perms = list(permutations(N4_LABELS))
+    seeded = [
+        Configuration.from_sequences(N4_LABELS, XYZ, [rng.choice(perms) for _ in range(3)])
+        for _ in range(300)
+    ]
+    for cfg in [*enumerate_classes(3), *enumerate_classes(4), *seeded]:
+        ray = _ray_verdict(_Lin.of(cfg))
+        verdict = decide(cfg)
+        assert (ray.status, ray.sign) == (verdict.status, verdict.sign)
+        assert ray.certificate["type"] == ("ray_all" if ray.status is Status.FIXED else "ray_pair")
+        assert replay_certificate(cfg, ray)
+
+
+# x: D<B<A<E<C, y: D<C<A<E<B, z: B<D<C<A<E, u: A<D<C<B<E (README): non-fixed,
+# with no extreme-removal chain
+README5 = Configuration.from_sequences(
+    ("D", "B", "A", "E", "C"),
+    ("x", "y", "z", "u"),
+    (tuple("DBAEC"), tuple("DCAEB"), tuple("BDCAE"), tuple("ADCBE")),
+)
+
+
+def test_replay_rejects_tampered_ray_certificates():
+    pair = decide(README5)
+    assert pair.status is Status.NON_FIXED
+    assert pair.certificate["inner"]["type"] == "ray_pair"
+    assert replay_certificate(README5, pair)
+
+    def swap(c):
+        c["inner"]["plus"], c["inner"]["minus"] = c["inner"]["minus"], c["inner"]["plus"]
+
+    def lowest_label(c):
+        rep = c["representative"]
+        c["inner"]["plus"][rep["axes"][0]] = [rep["sequences"][0][0]]
+
+    def whole_axis(c):
+        rep = c["representative"]
+        c["inner"]["minus"][rep["axes"][1]] = list(rep["sequences"][1])
+
+    for edit in (swap, lowest_label, whole_axis):
+        assert not replay_certificate(README5, tampered(pair, edit))
+    assert not replay_certificate(
+        README5, FixityVerdict(Status.FIXED, ConfigSign.PLUS, pair.certificate)
+    )
+
+    fixed = decide(FRONTIER5)
+    assert fixed.certificate["inner"]["type"] == "ray_all"
+
+    def flip_inner_sign(c):
+        c["inner"]["sign"] = _flip(c["inner"]["sign"])
+
+    assert not replay_certificate(FRONTIER5, tampered(fixed, lambda c: None, ConfigSign.PLUS))
+    assert not replay_certificate(FRONTIER5, tampered(fixed, flip_inner_sign))
+    assert not replay_certificate(FRONTIER5, tampered(fixed, flip_inner_sign, ConfigSign.PLUS))
+    assert not replay_certificate(
+        FRONTIER5, tampered(fixed, lambda c: c["inner"].update(tuples=255))
+    )
+    assert not replay_certificate(
+        README5, FixityVerdict(Status.FIXED, ConfigSign.PLUS, fixed.certificate["inner"])
+    )
+
+
+def test_configurations_above_the_size_limit_are_refused():
+    from simplexfix import MAX_LABELS, landmark
+
+    labels = tuple("ABCDEFGHI")
+    axes = tuple(f"a{i}" for i in range(8))
+    big = Configuration.from_sequences(labels, axes, [labels] * 8)
+    assert MAX_LABELS == 8
+    for call in (
+        lambda: decide(big),
+        lambda: build_witness(big),
+        lambda: replay_certificate(big, FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, {})),
+    ):
+        with pytest.raises(ValueError, match="more than 8 labels"):
+            call()
+    cloud = landmark.PointCloud.from_csv(
+        "label," + ",".join(axes) + "\n"
+        + "".join(f"{lab}," + ",".join([str(i)] * 8) + "\n" for i, lab in enumerate(labels))
+    )
+    with pytest.raises(ValueError, match="more than 8 labels"):
+        landmark.scan(cloud)
+
+
 def test_decide_partial_cloud_subsets():
     assert decide(subset_15910()).status is Status.FIXED
     assert decide(subset_2589()).status is Status.FIXED
@@ -426,11 +569,13 @@ def test_engine_builds_orderings_only_for_certificate_payloads(monkeypatch):
 
     monkeypatch.setattr(orders.Ordering, "__post_init__", counted)
     engine.clear_memo()
-    for cfg, payload_orderings in ((FIXED5, 4), (partial, 6)):
+    # an equivalent certificate's representative has one ordering per axis,
+    # and an extension certificate adds the extension's orders.  FIXED5 is
+    # an expansion whose replay also replays the four children's
+    # certificates: 4 orderings for its representative, 3 for each child's
+    for cfg, payload_orderings in ((FIXED5, 4 + 4 * 3), (partial, 6)):
         verdict = decide(cfg)
         assert built == []
-        # an equivalent certificate's representative has one ordering per
-        # axis; an extension certificate adds the extension's orders
         assert replay_certificate(cfg, verdict)
         assert len(built) == payload_orderings
         built.clear()
@@ -438,15 +583,22 @@ def test_engine_builds_orderings_only_for_certificate_payloads(monkeypatch):
     assert built == []
 
 
-def test_dim5_frontier_is_flagged_with_samples():
-    verdict = decide(FRONTIER5, frontier_samples=300, seed=5)
-    assert verdict.status is Status.UNKNOWN
-    assert verdict.frontier
-    assert sum(verdict.samples.values()) == 300
+def test_dim5_frontier_is_decided_by_the_ray_criterion():
+    # neither the lemma nor the expansion certifies FRONTIER5; every ray
+    # determinant is <= 0
+    assert non_fixed_by_extreme_lemma(FRONTIER5).status is Status.UNKNOWN
+    assert formally_fixed_by_expansion(FRONTIER5).status is Status.UNKNOWN
+    verdict = decide(FRONTIER5)
+    assert verdict.status is Status.FIXED
+    assert verdict.sign is ConfigSign.MINUS
+    assert verdict.certificate["type"] == "equivalent"
+    assert verdict.certificate["inner"]["type"] == "ray_all"
+    assert replay_certificate(FRONTIER5, verdict)
+    assert sample_signs(FRONTIER5, 5, 4000) == {"pos": 0, "neg": 4000, "zero": 0}
 
 
-def test_partial_with_undecidable_extension_reports_unknown():
-    # two extensions: one fixed, one on the conjecture frontier
+def test_partial_with_ray_decided_extension_is_fixed():
+    # two extensions: one fixed by expansion, one only by the ray criterion
     labels = ("A", "B", "C", "D", "E")
     axes = ("x", "y", "z", "w")
     cfg = Configuration.from_pairs(
@@ -459,13 +611,15 @@ def test_partial_with_undecidable_extension_reports_unknown():
             "w": [("D", "C"), ("C", "E"), ("E", "A"), ("A", "B")],
         },
     )
-    from simplexfix import extension_count
+    from simplexfix import configuration_extensions, extension_count
 
     assert extension_count(cfg) == 2
-    verdict = decide(cfg, frontier_samples=50)
-    assert verdict.status is Status.UNKNOWN
-    assert verdict.frontier
-    assert sum(verdict.samples.values()) == 50
+    inner = [decide(ext).certificate["inner"]["type"] for ext in configuration_extensions(cfg)]
+    assert sorted(inner) == ["expansion", "ray_all"]
+    verdict = decide(cfg)
+    assert verdict.status is Status.FIXED
+    assert verdict.certificate == {"type": "extensions_all_fixed", "count": 2, "sign": "-"}
+    assert replay_certificate(cfg, verdict)
 
 
 def test_dim5_non_fixed_via_lemma_chain():
@@ -497,11 +651,9 @@ def test_dim5_random_soundness_soak():
             bucket = "pos" if verdict.sign is ConfigSign.PLUS else "neg"
             assert histogram[bucket] == 400
             assert replay_certificate(cfg, verdict)
-        elif verdict.status is Status.NON_FIXED:
-            assert verify_witness(build_witness(cfg, verdict), cfg)
         else:
-            histogram = sample_signs(cfg, 17, 200)
-            assert histogram["pos"] + histogram["neg"] + histogram["zero"] == 200
+            assert verdict.status is Status.NON_FIXED
+            assert verify_witness(build_witness(cfg, verdict), cfg)
 
 
 def test_sample_signs_determinism_and_threads():

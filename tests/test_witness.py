@@ -133,6 +133,38 @@ def test_supplied_chain_is_checked_step_by_step(step, relation):
     assert not replay_certificate(ext, wrong)
 
 
+def test_witness_follows_ray_pair_certificates():
+    # README's five-label example has no extreme-removal chain; its
+    # witnesses come from the ray criterion's positive and negative tuples
+    from simplexfix import FixityVerdict, non_fixed_by_extreme_lemma
+    from simplexfix.configio import parse_configuration
+
+    cfg = parse_configuration(
+        "x: D<B<A<E<C\ny: D<C<A<E<B\nz: B<D<C<A<E\nu: A<D<C<B<E\n"
+    )
+    assert non_fixed_by_extreme_lemma(cfg).status is Status.UNKNOWN
+    verdict = decide(cfg)
+    assert verdict.status is Status.NON_FIXED
+    assert verify_witness(build_witness(cfg), cfg)
+    assert verify_witness(build_witness(cfg, verdict), cfg)
+
+    # the inner certificate names up-sets of the representative
+    cert = verdict.certificate
+    rep = cert["representative"]
+    rep_cfg = Configuration.from_sequences(rep["labels"], rep["axes"], rep["sequences"])
+    inner = FixityVerdict(verdict.status, verdict.sign, cert["inner"])
+    pair = build_witness(rep_cfg, inner)
+    assert verify_witness(pair, rep_cfg)
+    assert all(v.denominator == 1 for v in pair.plus.values.values())
+
+    plus, minus = cert["inner"]["plus"], cert["inner"]["minus"]
+    swapped = dict(cert["inner"], plus=minus, minus=plus)
+    not_up = dict(cert["inner"], plus=dict(plus, x=[rep["sequences"][0][0]]))
+    for bad in (swapped, not_up):
+        with pytest.raises(ValueError, match="certificate invalid"):
+            build_witness(rep_cfg, FixityVerdict(verdict.status, verdict.sign, bad))
+
+
 def test_fixed_configurations_refuse_witnesses():
     with pytest.raises(NotNonFixedError):
         build_witness(Configuration.from_sequences(LABELS3, ("x", "y"), (LABELS3, ("B", "C", "A"))))
