@@ -49,7 +49,7 @@ from .equivalence import (
     orbit_size,
     sign_parity,
 )
-from .landmark import PointCloud, ScanReport, derive_configuration, scan
+from .landmark import PointCloud, ScanReport, derive_configuration, iter_scan, scan
 from .orders import (
     Configuration,
     Ordering,

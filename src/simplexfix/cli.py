@@ -124,7 +124,8 @@ def build_parser() -> _Parser:
     p.add_argument("--jitter", type=int, metavar="SEED", default=None,
                    help="break coordinate ties by deterministic perturbation (non-exact)")
     p.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int),
-                   help="worker threads (default 1; env SIMPLEXFIX_THREADS)")
+                   help="accepted for compatibility; no effect, the scan runs in one "
+                        "thread (env SIMPLEXFIX_THREADS)")
 
     p = sub.add_parser("witness", help="construct an exact opposite-orientation witness pair")
     p.add_argument("config")
@@ -227,12 +228,14 @@ def _cmd_enumerate_classes(args) -> int:
 
 def _cmd_scan(args) -> int:
     cloud = landmark.PointCloud.from_csv(_read_source(args.csv))
-    report = landmark.scan(cloud, threads=args.threads, jitter_seed=args.jitter)
+    results = landmark.iter_scan(cloud, jitter_seed=args.jitter)
     if args.format == "json":
-        for obj in report.to_json_objects():
-            print(json.dumps(obj, sort_keys=True))
+        objects = landmark.json_objects(results, args.jitter)
+        lines = (json.dumps(obj, sort_keys=True) for obj in objects)
     else:
-        print(report.to_text())
+        lines = landmark.text_lines(results, landmark.subset_width(cloud), args.jitter)
+    for line in lines:  # each line goes out as soon as its subset is decided
+        print(line, flush=True)
     return 0
 
 

@@ -31,17 +31,19 @@ common sign.
 Verdicts carry replayable certificates (plain dicts, JSON-ready).  The
 memo table for n >= 4 is keyed by canonical code (see
 :mod:`simplexfix.equivalence`) with the sign transported through the group
-element's parity.  Concurrent insert-or-get races are benign because
-stored values are canonical.
+element's parity; it holds at most 16,384 verdicts, dropping the oldest.
+Concurrent insert-or-get races are benign because stored values are
+canonical.
 
 Configuration and Ordering are boundary types: they validate input, carry
-the public API, and validate certificate payloads (a representative, an
-extension's orders).  Past that boundary every path works on ``_Lin``, the
-per-axis label sequences of a linear configuration: one dispatch
-(``_decide_lin``) decides inputs, expansion children, representatives and
-the extensions of partial inputs; one walker (``_walk_chain``) follows and
-checks extreme-removal chains for witnesses and replay; replay compares
-codes under the group action instead of rebuilding orderings.
+the public API, and validate an extension certificate's orders (a
+representative payload is checked as label sequences).  Past that
+boundary every path works on ``_Lin``, the per-axis label sequences of a
+linear configuration: one dispatch (``_decide_lin``) decides inputs,
+expansion children, representatives and the extensions of partial
+inputs; one walker (``_walk_chain``) follows and checks extreme-removal
+chains for witnesses and replay; replay compares codes under the group
+action instead of rebuilding orderings.
 
 Configurations of more than :data:`MAX_LABELS` labels are refused with a
 ValueError: the ray criterion has ``(n-1)^(n-1)`` tuples and the lemma and
@@ -51,7 +53,6 @@ expansion searches grow factorially.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -618,6 +619,9 @@ def _crosscheck_dim3(lin: _Lin) -> FixityVerdict:
 # ---------------------------------------------------------------------------
 # the decider
 
+#: verdicts kept, by canonical code; the oldest entry goes first once the
+#: bound is reached, so a long run of distinct inputs keeps memory flat
+_MEMO_SIZE = 1 << 14
 _MEMO: dict = {}
 
 
@@ -664,6 +668,8 @@ def _decide_memoized(lin: _Lin) -> FixityVerdict:
             "axes": list(rep.axes),
             "sequences": [list(seq) for seq in rep.seqs],
         }
+        if len(_MEMO) >= _MEMO_SIZE:
+            _MEMO.pop(next(iter(_MEMO)), None)
         hit = _MEMO[canon] = (verdict, rep_payload)
     verdict, rep_payload = hit
     cert = {
@@ -1038,6 +1044,22 @@ def _replay(cfg: Configuration, status: Status, sign, cert) -> bool:
     return _replay_lin(_Lin.of(cfg), status, sign, cert)
 
 
+def _representative(rep: Mapping) -> _Lin:
+    """A representative payload as a ``_Lin``; ValueError unless its
+    labels are distinct, its ``n-1`` axes distinct, and every sequence a
+    permutation of the labels (a chain needs no transitivity check)."""
+    labels, axes = tuple(rep["labels"]), tuple(rep["axes"])
+    seqs = tuple(tuple(seq) for seq in rep["sequences"])
+    if len(labels) < 2 or len(set(labels)) != len(labels):
+        raise ValueError("representative labels must be at least two and distinct")
+    if len(set(axes)) != len(axes) or len(axes) != len(labels) - 1 or len(seqs) != len(axes):
+        raise ValueError(f"representative needs {len(labels) - 1} distinct axes, one sequence each")
+    for seq in seqs:
+        if len(seq) != len(labels) or set(seq) != set(labels):
+            raise ValueError("representative sequences must list every label exactly once")
+    return _Lin(labels, axes, seqs)
+
+
 def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
     kind = cert["type"]
     if kind in ("dim1", "dim2_fixed", "dim2_non_fixed"):
@@ -1095,8 +1117,7 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
             tuple(cert["label_perm"]),
             tuple(bool(b) for b in cert["reversals"]),
         )
-        rep = cert["representative"]
-        rep_lin = _Lin.of(Configuration.from_sequences(rep["labels"], rep["axes"], rep["sequences"]))
+        rep_lin = _representative(cert["representative"])
         image = equivalence.act(g, equivalence.encode(lin.labels, lin.seqs), len(lin.labels))
         if image != equivalence.encode(rep_lin.labels, rep_lin.seqs):
             return False
@@ -1165,6 +1186,9 @@ def sample_signs(cfg: Configuration, seed: int, count: int, threads: int = 1) ->
         for i in range((count + _CHUNK - 1) // _CHUNK)
     ]
     if threads > 1:
+        # imported here: it costs a scan or decide process about 7 ms to load
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(
                 pool.map(lambda c: _sample_chunk(cfg, seed, c[0], c[1]), chunks)

@@ -2,8 +2,12 @@
 
 Every ``(d+1)``-subset of a ``d``-dimensional cloud induces an ordering
 configuration: per axis, the strict order of the coordinate values, ties
-leaving the pair incomparable.  The scan runs the fixity decider on each
-derived configuration and reports per-subset verdicts plus summary counts.
+leaving the pair incomparable.  The scan reports per-subset verdicts plus
+summary counts.  It ranks each axis once and decides each distinct
+per-axis rank pattern once (see :func:`iter_scan`), and it streams: the
+CLI writes each line as soon as its subset is decided and the summary
+from running counts.  It runs in one thread; ``threads`` and the CLI's
+``--threads`` are accepted and have no effect.
 
 Coordinates are exact rationals parsed from their decimal text, so derived
 orderings never depend on binary rounding.  An optional jitter mode breaks
@@ -15,15 +19,15 @@ from __future__ import annotations
 
 import csv
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .configio import InputFormatError
-from .engine import FixityVerdict, check_size, decide
-from .equivalence import default_axes
+from .engine import FixityVerdict, Status, check_size, decide
+from .equivalence import default_axes, default_labels
 from .orders import Configuration, Ordering, _as_fraction
 
 
@@ -135,15 +139,16 @@ def derive_configuration(cloud: PointCloud, subset: Iterable) -> Configuration:
             f"subset size must be dimension+1 = {cloud.dimension + 1}, got {len(subset)}"
         )
     labels = tuple(lab for lab in cloud.labels if lab in set(subset))
-    orders = []
-    for axis in cloud.axes:
-        pairs = set()
-        for e in labels:
-            for f in labels:
-                if e != f and cloud.value(e, axis) < cloud.value(f, axis):
-                    pairs.add((e, f))
-        orders.append(Ordering(labels, frozenset(pairs)))
-    return Configuration(labels, cloud.axes, tuple(orders))
+    orders = tuple(
+        _axis_ordering(labels, [cloud.value(lab, axis) for lab in labels]) for axis in cloud.axes
+    )
+    return Configuration(labels, cloud.axes, orders)
+
+
+def _axis_ordering(labels: tuple, values: Sequence) -> Ordering:
+    """``labels[p]`` below ``labels[q]`` exactly when ``values[p] < values[q]``."""
+    named = tuple(zip(labels, values))
+    return Ordering(labels, frozenset((e, f) for e, v in named for f, w in named if v < w))
 
 
 def jitter(cloud: PointCloud, seed: int) -> PointCloud:
@@ -166,16 +171,100 @@ def jitter(cloud: PointCloud, seed: int) -> PointCloud:
     return PointCloud(cloud.labels, cloud.axes, values)
 
 
-@dataclass(frozen=True)
 class SubsetResult:
-    labels: tuple
-    configuration: Configuration
-    verdict: FixityVerdict
+    """One subset's decided ``status`` and ``sign``.
+
+    A scan fills in only those two and keeps the cloud; the subset's own
+    ``configuration`` and ``verdict`` (whose certificate names these
+    labels) are derived from it on first access.
+    """
+
+    __slots__ = ("labels", "status", "sign", "_cloud", "_configuration", "_verdict")
+
+    def __init__(self, labels, configuration: Configuration, verdict: FixityVerdict):
+        self.labels = tuple(labels)
+        self.status, self.sign = verdict.status, verdict.sign
+        self._cloud, self._configuration, self._verdict = None, configuration, verdict
+
+    @classmethod
+    def _scanned(cls, labels: tuple, status: Status, sign, cloud: PointCloud) -> "SubsetResult":
+        result = cls.__new__(cls)
+        result.labels, result.status, result.sign = labels, status, sign
+        result._cloud, result._configuration, result._verdict = cloud, None, None
+        return result
+
+    @property
+    def configuration(self) -> Configuration:
+        if self._configuration is None:
+            self._configuration = derive_configuration(self._cloud, self.labels)
+        return self._configuration
+
+    @property
+    def verdict(self) -> FixityVerdict:
+        if self._verdict is None:
+            self._verdict = decide(self.configuration)
+        return self._verdict
+
+
+def _counts(results: Iterable) -> dict:
+    out = dict.fromkeys(("fixed", "non_fixed", "unknown"), 0)
+    for r in results:
+        out[r.status.value] += 1
+    return out
+
+
+def _summary(counts: dict, jitter_seed: int | None) -> dict:
+    out = {"subsets": sum(counts.values()), **counts}
+    if jitter_seed is not None:
+        out["jitter"] = jitter_seed
+        out["exact"] = False
+    return out
+
+
+def json_objects(results: Iterable, jitter_seed: int | None = None,
+                 include_certificates: bool = False) -> Iterator[dict]:
+    """One object per result as each arrives, then the summary object
+    from the running counts."""
+    counts = _counts(())
+    for r in results:
+        counts[r.status.value] += 1
+        obj = {"subset": list(r.labels), "status": r.status.value}
+        if r.sign is not None:
+            obj["sign"] = str(r.sign)
+        if include_certificates and r.verdict.certificate is not None:
+            obj["certificate"] = r.verdict.certificate
+        yield obj
+    yield {"summary": _summary(counts, jitter_seed)}
+
+
+def text_lines(results: Iterable, width: int, jitter_seed: int | None = None) -> Iterator[str]:
+    """The text table line by line: a header, one row per result as each
+    arrives with the subset column ``width`` wide, then the totals."""
+    yield f"{'subset'.ljust(width)}  status     sign"
+    counts = _counts(())
+    for r in results:
+        counts[r.status.value] += 1
+        name = " ".join(map(str, r.labels)).ljust(width)
+        sign = str(r.sign) if r.sign is not None else "-"
+        yield f"{name}  {r.status.value.ljust(9)}  {sign}"
+    yield (
+        f"total {sum(counts.values())}: {counts['fixed']} fixed, "
+        f"{counts['non_fixed']} non-fixed, {counts['unknown']} unknown"
+    )
+    if jitter_seed is not None:
+        yield f"jitter seed {jitter_seed}: ties perturbed, results not exact"
+
+
+def subset_width(cloud: PointCloud) -> int:
+    """Width of the text table's subset column for a scan of the cloud:
+    the widest subset joins the ``d+1`` longest labels with spaces."""
+    longest = sorted((len(str(lab)) for lab in cloud.labels), reverse=True)
+    return sum(longest[: cloud.dimension + 1]) + cloud.dimension
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Per-subset verdicts plus summary counts for a whole cloud."""
+    """Per-subset results plus summary counts for a whole cloud."""
 
     dimension: int
     results: tuple
@@ -183,69 +272,86 @@ class ScanReport:
 
     @property
     def counts(self) -> dict:
-        out = {"fixed": 0, "non_fixed": 0, "unknown": 0}
-        for r in self.results:
-            out[r.verdict.status.value] += 1
-        return out
+        return _counts(self.results)
 
     def summary(self) -> dict:
-        out = {"subsets": len(self.results), **self.counts}
-        if self.jitter_seed is not None:
-            out["jitter"] = self.jitter_seed
-            out["exact"] = False
-        return out
+        return _summary(self.counts, self.jitter_seed)
 
     def to_json_objects(self, include_certificates: bool = False) -> list:
         """One object per subset plus a trailing summary object."""
-        objects = []
-        for r in self.results:
-            obj = {"subset": list(r.labels), "status": r.verdict.status.value}
-            if r.verdict.sign is not None:
-                obj["sign"] = str(r.verdict.sign)
-            if include_certificates and r.verdict.certificate is not None:
-                obj["certificate"] = r.verdict.certificate
-            objects.append(obj)
-        objects.append({"summary": self.summary()})
-        return objects
+        return list(json_objects(self.results, self.jitter_seed, include_certificates))
 
     def to_text(self) -> str:
         width = max((len(" ".join(map(str, r.labels))) for r in self.results), default=6)
-        lines = [f"{'subset'.ljust(width)}  status     sign"]
-        for r in self.results:
-            name = " ".join(map(str, r.labels)).ljust(width)
-            sign = str(r.verdict.sign) if r.verdict.sign is not None else "-"
-            lines.append(f"{name}  {r.verdict.status.value.ljust(9)}  {sign}")
-        counts = self.counts
-        lines.append(
-            f"total {len(self.results)}: {counts['fixed']} fixed, "
-            f"{counts['non_fixed']} non-fixed, {counts['unknown']} unknown"
-        )
-        if self.jitter_seed is not None:
-            lines.append(f"jitter seed {self.jitter_seed}: ties perturbed, results not exact")
-        return "\n".join(lines)
+        return "\n".join(text_lines(self.results, width, self.jitter_seed))
 
 
-def scan(cloud: PointCloud, threads: int = 1, jitter_seed: int | None = None) -> ScanReport:
-    """Decide every ``(d+1)``-subset of the cloud.
+def _axis_ranks(cloud: PointCloud) -> list:
+    """Per axis, every point's rank among the axis's distinct values, in
+    label order: exact, and tied coordinates share a rank."""
+    out = []
+    for axis in cloud.axes:
+        column = [cloud.value(lab, axis) for lab in cloud.labels]
+        rank = {v: i for i, v in enumerate(sorted(set(column)))}
+        out.append([rank[v] for v in column])
+    return out
 
-    Subsets iterate lexicographically in the cloud's stable label order;
-    results are collected in that order regardless of thread count.
-    Raises ValueError when a subset would exceed the engine's
-    ``MAX_LABELS`` labels, before listing any subset.
+
+def _renumber(ranks: tuple) -> tuple:
+    distinct = sorted(set(ranks))
+    return tuple(map(distinct.index, ranks))
+
+
+def iter_scan(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[SubsetResult]:
+    """Decide every ``(d+1)``-subset, yielding each result as it is decided.
+
+    Subsets come lexicographically in the cloud's stable label order.  Each
+    axis is ranked once; a subset's *pattern* is, per axis, the ranks of its
+    points in label order renumbered within the subset.  Two subsets with
+    one pattern derive the same configuration up to the order-preserving
+    relabeling of their points, so they share status and sign: ``decide``
+    runs once per distinct pattern, on the configuration the pattern
+    spells over the labels ``A, B, ...``.  Raises ValueError when a subset
+    would exceed the engine's ``MAX_LABELS`` labels, before listing any
+    subset.
     """
     check_size(cloud.dimension + 1)
     if len(cloud.labels) < cloud.dimension + 1:
         raise ValueError("cloud has fewer points than dimension+1")
     source = jitter(cloud, jitter_seed) if jitter_seed is not None else cloud
-    subsets = list(combinations(source.labels, source.dimension + 1))
+    return _scan(source)
 
-    def run(subset):
-        cfg = derive_configuration(source, subset)
-        return SubsetResult(tuple(subset), cfg, decide(cfg))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(run, subsets))
-    else:
-        results = tuple(run(s) for s in subsets)
-    return ScanReport(source.dimension, results, jitter_seed)
+def _scan(cloud: PointCloud) -> Iterator[SubsetResult]:
+    size = cloud.dimension + 1
+    names = default_labels(size)
+    columns = _axis_ranks(cloud)
+    ids = {}  # per-axis pattern -> its index in orderings
+    orderings = []  # per-axis patterns as Orderings over names
+    decided = {}  # the axes' pattern indices -> (status, sign)
+    for index in combinations(range(len(cloud.labels)), size):
+        pick = itemgetter(*index)
+        key = []
+        for column in columns:
+            ranks = _renumber(pick(column))
+            k = ids.get(ranks)
+            if k is None:
+                k = ids[ranks] = len(orderings)
+                orderings.append(_axis_ordering(names, ranks))
+            key.append(k)
+        key = tuple(key)
+        hit = decided.get(key)
+        if hit is None:
+            verdict = decide(Configuration(names, cloud.axes, tuple(orderings[k] for k in key)))
+            hit = decided[key] = (verdict.status, verdict.sign)
+        yield SubsetResult._scanned(pick(cloud.labels), *hit, cloud)
+
+
+def scan(cloud: PointCloud, threads: int = 1, jitter_seed: int | None = None) -> ScanReport:
+    """Every result of :func:`iter_scan`, collected into a report.
+
+    ``threads`` is accepted for compatibility and has no effect: the scan
+    runs in one thread, since a thread pool only slowed it down.
+    """
+    results = tuple(iter_scan(cloud, jitter_seed))
+    return ScanReport(cloud.dimension, results, jitter_seed)

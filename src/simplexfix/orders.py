@@ -141,19 +141,16 @@ class Ordering:
 
     def extension_sequences(self) -> list:
         """Increasing label sequences of every linear order containing this
-        one, in lexicographic order (positions taken in stable label order)."""
-        pairs = self.pairs
-        out = []
+        one, in lexicographic order (positions taken in stable label order).
 
-        def extend(prefix, remaining):
-            if not remaining:
-                out.append(prefix)
-            for lab in remaining:
-                if not any((other, lab) in pairs for other in remaining):
-                    extend(prefix + (lab,), tuple(o for o in remaining if o != lab))
-
-        extend((), self.labels)
-        return out
+        Computed once per instance (the ordering is immutable), so
+        configurations that share an ordering, as a scan's do, share the
+        work."""
+        found = self.__dict__.get("_extension_sequences")
+        if found is None:
+            found = _extension_sequences(self.labels, self.pairs)
+            object.__setattr__(self, "_extension_sequences", found)
+        return list(found)
 
     def linear_extensions(self) -> list:
         """Every linear order containing this one, as chains in the order of
@@ -169,6 +166,23 @@ class Ordering:
         index = {lab: i for i, lab in enumerate(self.labels)}
         out.sort(key=lambda p: (index[p[0]], index[p[1]]))
         return out
+
+
+def _extension_sequences(labels: tuple, pairs: frozenset) -> tuple:
+    below = {lab: set() for lab in labels}
+    for e, f in pairs:
+        below[f].add(e)
+    out = []
+
+    def extend(prefix, remaining):
+        if not remaining:
+            out.append(prefix)
+        for i, lab in enumerate(remaining):
+            if below[lab].isdisjoint(remaining):
+                extend(prefix + (lab,), remaining[:i] + remaining[i + 1 :])
+
+    extend((), labels)
+    return tuple(out)
 
 
 def is_linear(ordering: Ordering) -> bool:

@@ -569,11 +569,10 @@ def test_engine_builds_orderings_only_for_certificate_payloads(monkeypatch):
 
     monkeypatch.setattr(orders.Ordering, "__post_init__", counted)
     engine.clear_memo()
-    # an equivalent certificate's representative has one ordering per axis,
-    # and an extension certificate adds the extension's orders.  FIXED5 is
-    # an expansion whose replay also replays the four children's
-    # certificates: 4 orderings for its representative, 3 for each child's
-    for cfg, payload_orderings in ((FIXED5, 4 + 4 * 3), (partial, 6)):
+    # an equivalent certificate's representative is checked as sequences,
+    # so only an extension certificate's orders are built (one per axis);
+    # FIXED5's replay, children included, builds none
+    for cfg, payload_orderings in ((FIXED5, 0), (partial, 3)):
         verdict = decide(cfg)
         assert built == []
         assert replay_certificate(cfg, verdict)
@@ -581,6 +580,54 @@ def test_engine_builds_orderings_only_for_certificate_payloads(monkeypatch):
         built.clear()
     build_witness(partial)
     assert built == []
+
+
+REPRESENTATIVE_EDITS = {
+    "repeated label": lambda r: r["sequences"][0].__setitem__(1, r["sequences"][0][0]),
+    "missing label": lambda r: r["sequences"][0].pop(),
+    "extra repeated label": lambda r: r["sequences"][0].append(r["sequences"][0][0]),
+    "repeated name": lambda r: r["labels"].__setitem__(1, r["labels"][0]),
+    "missing axis": lambda r: r["axes"].pop(),
+    "repeated axis": lambda r: r["axes"].__setitem__(1, r["axes"][0]),
+    "missing sequence": lambda r: r["sequences"].pop(),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(REPRESENTATIVE_EDITS))
+def test_replay_refuses_malformed_representatives(edit):
+    # each edit raises ValueError, as rebuilding the representative's
+    # orderings did; the untouched certificate replays
+    verdict = decide(FIXED5)
+    assert verdict.certificate["type"] == "equivalent"
+    assert replay_certificate(FIXED5, verdict)
+    with pytest.raises(ValueError):
+        replay_certificate(
+            FIXED5,
+            tampered(verdict, lambda c: REPRESENTATIVE_EDITS[edit](c["representative"])),
+        )
+
+
+def test_memo_is_bounded_and_eviction_keeps_verdicts(monkeypatch):
+    from simplexfix import engine
+
+    labels = ("A", "B", "C", "D", "E")
+    axes = ("x", "y", "z", "w")
+    rng = random.Random("memo-bound")
+    cfgs = [
+        Configuration.from_sequences(labels, axes, [tuple(rng.sample(labels, 5)) for _ in axes])
+        for _ in range(40)
+    ]
+    assert engine._MEMO_SIZE == 1 << 14
+    engine.clear_memo()
+    reference = [decide(cfg).to_json() for cfg in cfgs]
+    assert len(engine._MEMO) > 8
+    monkeypatch.setattr(engine, "_MEMO_SIZE", 8)
+    engine.clear_memo()
+    for _ in range(2):  # the second pass decides many evicted classes again
+        for cfg, want in zip(cfgs, reference):
+            assert decide(cfg).to_json() == want
+            assert len(engine._MEMO) <= 8
+    engine.clear_memo()
 
 
 def test_dim5_frontier_is_decided_by_the_ray_criterion():

@@ -13,10 +13,14 @@ from simplexfix import (
     PointCloud,
     Status,
     derive_configuration,
+    replay_certificate,
     satisfies,
     scan,
 )
+from simplexfix import landmark
+from simplexfix.cli import main
 from simplexfix.landmark import jitter
+from scan_reference import grid_cloud_csv, reference_scan_output
 
 
 def small_cloud():
@@ -209,3 +213,54 @@ def test_generic_position_clouds_always_decide(rng):
             cloud.axes,
         )
         assert satisfies(assignment, result.configuration)
+
+
+def scan_cli(capsys, path, *flags):
+    assert main(["scan", str(path), *flags]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scan_output_matches_per_subset_reference(seed, tmp_path, capsys):
+    text = grid_cloud_csv(seed, points=9, grid=3)
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    cloud = PointCloud.from_csv(text)
+    assert len({len(lab) for lab in cloud.labels}) > 1
+    for jitter_seed in (None, 4):
+        extra = () if jitter_seed is None else ("--jitter", str(jitter_seed))
+        for fmt in ("json", "text"):
+            want = reference_scan_output(cloud, fmt, jitter_seed)
+            for threads in ("1", "3"):  # --threads has no effect on scan
+                out = scan_cli(capsys, path, "--format", fmt, "--threads", threads, *extra)
+                assert out == want
+
+
+def test_scan_decides_each_distinct_pattern_once(monkeypatch):
+    cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=3))
+    patterns = set()
+    for subset in combinations(cloud.labels, 4):
+        cfg = derive_configuration(cloud, subset)
+        index = {lab: i for i, lab in enumerate(cfg.labels)}
+        patterns.add(tuple(frozenset((index[e], index[f]) for e, f in o.pairs) for o in cfg.orders))
+    calls = []
+    real = landmark.decide
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(landmark, "decide", counted)
+    report = scan(cloud)
+    assert len(report.results) == 210
+    assert len(calls) == len(patterns) < 210
+
+
+def test_scan_results_derive_their_own_configuration_and_verdict(cloud_csv_path):
+    cloud = PointCloud.from_csv(cloud_csv_path.read_text())
+    for r in scan(cloud).results:
+        cfg, verdict = r.configuration, r.verdict
+        assert cfg == derive_configuration(cloud, r.labels)
+        assert (verdict.status, verdict.sign) == (r.status, r.sign)
+        assert replay_certificate(cfg, verdict)
+

@@ -1,9 +1,14 @@
 """Exhaustive long-running sweeps (deselected by default; run with
 ``pytest -m slow``)."""
 
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,9 @@ from simplexfix import (
     verify_witness,
 )
 from conftest import N4_LABELS, XYZ
+from scan_reference import grid_cloud_csv
+
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.mark.slow
@@ -72,3 +80,43 @@ def test_five_label_census_is_exact():
     assert len(reps) == 5097
     assert statuses == {Status.FIXED: 36, Status.NON_FIXED: 5061}
     assert (kinds["ray_all"], kinds["ray_pair"]) == (17, 5)
+
+
+# a child reports its own peak RSS (VmHWM) on stderr at exit; the
+# rusage of a forked child would also count the parent's memory
+_REPORT_PEAK = (
+    "import atexit, sys; atexit.register(lambda: sys.stderr.write(next("
+    "line for line in open('/proc/self/status') if line.startswith('VmHWM'))))"
+)
+
+
+def _peak_rss_kb(code, args, out_path, env) -> int:
+    """Run ``python -c code args`` with stdout to a file; its peak RSS in KiB."""
+    with open(out_path, "wb") as out:
+        proc = subprocess.run([sys.executable, "-c", f"{_REPORT_PEAK}; {code}", *args],
+                              stdout=out, stderr=subprocess.PIPE, env=env, check=True)
+    return int(proc.stderr.decode().split()[-2])
+
+
+@pytest.mark.slow
+def test_thirty_point_scan_streams_the_reference_in_less_memory(tmp_path):
+    # 27,405 subsets, most with ties: the CLI's streamed output equals the
+    # per-subset reference, and it peaks below a process holding every
+    # subset's configuration and verdict
+    path = tmp_path / "grid30.csv"
+    path.write_text(grid_cloud_csv(30, points=30, grid=8))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])}
+    start = time.perf_counter()
+    streamed_kb = _peak_rss_kb(
+        "from simplexfix.cli import main; sys.exit(main(sys.argv[1:]))",
+        ["scan", str(path), "--format", "json"], tmp_path / "scan.out", env,
+    )
+    scan_s = time.perf_counter() - start
+    held_kb = _peak_rss_kb(
+        "from simplexfix import PointCloud; from scan_reference import reference_scan_output; "
+        "sys.stdout.write(reference_scan_output(PointCloud.from_csv(open(sys.argv[1]).read()), 'json'))",
+        [str(path)], tmp_path / "reference.out", env,
+    )
+    print(f"scan {scan_s:.2f} s, peak {streamed_kb} KiB; reference peak {held_kb} KiB")
+    assert (tmp_path / "scan.out").read_bytes() == (tmp_path / "reference.out").read_bytes()
+    assert streamed_kb < held_kb
