@@ -71,21 +71,6 @@ def _add_common(parser: _Parser) -> None:
     )
 
 
-def _add_sampling(parser: _Parser, samples_help: str = "sample count") -> None:
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=_env_default("SEED", 0, int),
-        help="RNG seed (default 0; env SIMPLEXFIX_SEED)",
-    )
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=_env_default("SAMPLES", 1000, int),
-        help=f"{samples_help} (default 1000; env SIMPLEXFIX_SAMPLES)",
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="simplexfix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,7 +78,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decide", help="decide fixity of a configuration")
     p.add_argument("config", help="configuration file ('-' for stdin)")
     _add_common(p)
-    _add_sampling(p, "sample count of the sample subcommand; no effect on decide")
     p.add_argument(
         "--debug-crosscheck",
         action="store_true",
@@ -134,9 +118,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="histogram of determinant signs over random satisfying assignments")
     p.add_argument("config")
     _add_common(p)
-    _add_sampling(p)
+    p.add_argument("--seed", type=int, default=_env_default("SEED", 0, int),
+                   help="RNG seed (default 0; env SIMPLEXFIX_SEED)")
+    p.add_argument("--samples", type=int, default=_env_default("SAMPLES", 1000, int),
+                   help="sample count (default 1000; env SIMPLEXFIX_SAMPLES)")
     p.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int),
-                   help="worker threads (default 1; env SIMPLEXFIX_THREADS)")
+                   help="accepted for compatibility; no effect, sampling runs in one "
+                        "thread (env SIMPLEXFIX_THREADS)")
 
     return parser
 
@@ -168,7 +156,7 @@ def _print_verdict_text(verdict) -> None:
 
 def _cmd_decide(args) -> int:
     cfg = _load_configuration(args.config)
-    verdict = decide(cfg, debug_crosscheck=args.debug_crosscheck, seed=args.seed)
+    verdict = decide(cfg, debug_crosscheck=args.debug_crosscheck)
     if args.format == "json":
         print(json.dumps(verdict.to_json(), sort_keys=True))
     else:
@@ -260,7 +248,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_configuration(args.config)
-    histogram = sample_signs(cfg, args.seed, args.samples, threads=args.threads)
+    histogram = sample_signs(cfg, args.seed, args.samples)
     if args.format == "json":
         print(json.dumps(histogram, sort_keys=True))
     else:

@@ -16,17 +16,20 @@ Decision strategy by size of the label set:
   sub-configuration is non-fixed certifies NON_FIXED.  Then the paper's
   cofactor expansion: a definite formal sign certifies FIXED.  At most one
   of the two can succeed; when neither does, the ray-determinant
-  criterion decides.  The determinant is multilinear in the axis rows and
-  each axis's satisfying coordinates form an open cone generated by the
-  indicator vectors of its proper nonempty up-sets (plus translations),
-  so the configuration is fixed iff the determinants of all tuples of one
-  generator per axis share a weak sign (they cannot all vanish, as the
-  satisfying region is open), and non-fixed as soon as one tuple is
-  positive and one negative.
+  criterion decides.
 
-Partial configurations reduce to their linear extensions: non-fixed as
-soon as one extension is, fixed when all extensions are fixed with one
-common sign.
+The ray-determinant criterion decides every configuration, linear or
+partial.  The determinant is multilinear in the axis rows, and each
+axis's satisfying coordinates are, up to translation, the strictly
+positive combinations of the indicator vectors of its filters (proper
+nonempty up-sets; Stanley, "Two poset polytopes"), the suffixes of a
+chain.  So the configuration is fixed iff the determinants of all tuples
+of one filter per axis share a weak sign (they cannot all vanish, as the
+satisfying region is open), and non-fixed as soon as one tuple is
+positive and one negative.  A partial configuration first decides its
+first linear extension, whose region lies inside its own: most are
+non-fixed there, and the filter pass runs only when that extension is
+fixed.
 
 Verdicts carry replayable certificates (plain dicts, JSON-ready).  The
 memo table for n >= 4 is keyed by canonical code (see
@@ -35,36 +38,37 @@ element's parity; it holds at most 16,384 verdicts, dropping the oldest.
 Concurrent insert-or-get races are benign because stored values are
 canonical.
 
-Configuration and Ordering are boundary types: they validate input, carry
-the public API, and validate an extension certificate's orders (a
-representative payload is checked as label sequences).  Past that
-boundary every path works on ``_Lin``, the per-axis label sequences of a
-linear configuration: one dispatch (``_decide_lin``) decides inputs,
-expansion children, representatives and the extensions of partial
-inputs; one walker (``_walk_chain``) follows and checks extreme-removal
-chains for witnesses and replay; replay compares codes under the group
-action instead of rebuilding orderings.
+Configuration and Ordering are boundary types: they validate input and
+carry the public API.  Past that boundary every path works on label
+sequences: ``_Lin``, the per-axis sequences of a linear configuration,
+and for partial input the first extension and the filters read off its
+pairs.  One dispatch (``_decide_lin``) decides inputs, expansion
+children, representatives and first extensions; one walker
+(``_walk_chain``) follows and checks extreme-removal chains for witnesses
+and replay; one ray pass (``_ray_search``) serves chains and partial
+orders; replay compares codes under the group action and checks an
+extension by positions, building no orderings.
 
 Configurations of more than :data:`MAX_LABELS` labels are refused with a
-ValueError: the ray criterion has ``(n-1)^(n-1)`` tuples and the lemma and
-expansion searches grow factorially.
+ValueError: the ray criterion has ``(n-1)^(n-1)`` tuples on linear input
+and the lemma and expansion searches grow factorially.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import comb
+from itertools import combinations
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import equivalence
 from .orders import (
     Configuration,
-    Ordering,
     PointAssignment,
     _det_int,
     _det_sign_int,
@@ -189,13 +193,6 @@ def _relation(a: tuple, b: tuple):
     if a == b[::-1]:
         return "reversed"
     return None
-
-
-def _extensions(cfg: Configuration):
-    """The linear extensions of a configuration, in the order of
-    :func:`~simplexfix.orders.configuration_extensions`."""
-    for seqs in product(*(o.extension_sequences() for o in cfg.orders)):
-        yield _Lin(cfg.labels, cfg.axes, seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -431,39 +428,87 @@ def _wedge_plans(n: int) -> tuple:
     return tuple(plans)
 
 
-def _ray_search(lin: _Lin) -> dict:
-    """Determinant signs of every tuple of one up-set generator per axis.
+def _filters(seq: tuple, pairs) -> list:
+    """The proper nonempty up-sets of an axis ordering given by its pairs
+    and one of its linear extensions ``seq``: smallest first, ties in
+    the order of their position masks, each listed in the order of
+    ``seq``.  A chain's are its suffixes in size order."""
+    n = len(seq)
+    pos = {lab: i for i, lab in enumerate(seq)}
+    below = [0] * n
+    for e, f in pairs:
+        below[pos[f]] |= 1 << pos[e]
+    # down-sets as position masks: seq[i] may join one that holds all the
+    # labels below it, which all come earlier in seq
+    downs = [0]
+    for i in range(n):
+        downs += [d | 1 << i for d in downs if not below[i] & ~d]
+    full = (1 << n) - 1
+    ups = sorted((full ^ d for d in downs if 0 < d < full), key=lambda m: (m.bit_count(), m))
+    return [tuple(seq[i] for i in range(n) if m >> i & 1) for m in ups]
 
-    Axis ``a`` contributes the indicator vector of ``seqs[a][n - s:]`` for
-    a size ``s`` in ``1..n-1``; a tuple is its list of sizes.  Tuples are
-    visited in lexicographic order of their sizes.  The minors of each
-    prefix (the padding row of ones, then one row per axis so far) are
-    shared by every tuple extending it, and stepping an axis to its next
-    up-set adds one label, so only the minors on column sets holding that
-    label change.  Returns ``{sign: sizes}`` for the first tuple of each
+
+def _chain_filters(lin: _Lin) -> list:
+    """Per axis, the suffixes of a linear configuration's chain."""
+    return [_filters(seq, zip(seq, seq[1:])) for seq in lin.seqs]
+
+
+def _partial_filters(cfg: Configuration) -> list:
+    """Per axis, the filters of a configuration's orderings, listed in
+    the order of the first extension."""
+    return [_filters(o.first_extension(), o.pairs) for o in cfg.orders]
+
+
+def _ray_search(labels: tuple, gens: Sequence) -> dict:
+    """Determinant signs of every tuple of one generator per axis.
+
+    ``gens[a]`` lists axis ``a``'s generators as label tuples, the
+    indicator vectors of its filters; a tuple is its list of generator
+    indices, and tuples are visited in lexicographic order.  The minors of
+    each prefix (the padding row of ones, then one row per axis so far)
+    are shared by every tuple extending it, and stepping an axis to its
+    next generator updates only the minors on column sets holding a label
+    that enters or leaves: one label for a chain's suffixes in size
+    order.  Returns ``{sign: indices}`` for the first tuple of each
     nonzero sign met, stopping as soon as both are.
     """
-    n = len(lin.labels)
-    column = {lab: i for i, lab in enumerate(lin.labels)}
+    n = len(labels)
+    column = {lab: i for i, lab in enumerate(labels)}
     plans = _wedge_plans(n)
-    sizes = [0] * (n - 1)
+    steps = []  # per axis and generator: the columns entering, then leaving
+    for axis_gens in gens:
+        prev = ()
+        axis_steps = []
+        for gen in axis_gens:
+            axis_steps.append(
+                (
+                    [column[lab] for lab in gen if lab not in prev],
+                    [column[lab] for lab in prev if lab not in gen],
+                )
+            )
+            prev = gen
+        steps.append(axis_steps)
+    chosen = [0] * (n - 1)
     found = {}
 
     def extend(level, prev):
         plan = plans[level]
-        seq = lin.seqs[level]
         cur = [0] * comb(n, level + 2)
-        for s in range(1, n):
-            for i, sign, p in plan[column[seq[n - s]]]:
-                cur[i] += sign * prev[p]
-            sizes[level] = s
+        for k, (enter, leave) in enumerate(steps[level]):
+            for c in enter:
+                for i, sign, p in plan[c]:
+                    cur[i] += sign * prev[p]
+            for c in leave:
+                for i, sign, p in plan[c]:
+                    cur[i] -= sign * prev[p]
+            chosen[level] = k
             if level + 2 < n:
                 if extend(level + 1, cur):
                     return True
             elif cur[0]:
                 d = 1 if cur[0] > 0 else -1
                 if d not in found:
-                    found[d] = list(sizes)
+                    found[d] = list(chosen)
                     if len(found) == 2:
                         return True
         return False
@@ -472,48 +517,64 @@ def _ray_search(lin: _Lin) -> dict:
     return found
 
 
-def _ray_sizes(lin: _Lin, upsets: Mapping) -> list:
-    """Per-axis sizes of the up-sets a ray certificate names (label lists
-    keyed by axis); ValueError when one is not a proper nonempty up-set of
-    its axis."""
-    n = len(lin.labels)
-    sizes = []
-    for axis, seq in zip(lin.axes, lin.seqs):
-        up = upsets[axis]
-        if not 0 < len(up) < n or set(up) != set(seq[n - len(up) :]):
+def _ray_choice(axes: tuple, gens: Sequence, named: Mapping) -> list:
+    """Per axis, the index among its generators of the set a ray
+    certificate names (label lists keyed by axis); ValueError when one is
+    not a proper nonempty up-set of its axis ordering."""
+    chosen = []
+    for axis, axis_gens in zip(axes, gens):
+        up = named[axis]
+        sets = [frozenset(gen) for gen in axis_gens]
+        if len(set(up)) != len(up) or frozenset(up) not in sets:
             raise ValueError(f"certificate invalid: {up!r} is not a proper nonempty up-set of {axis!r}")
-        sizes.append(len(up))
-    return sizes
+        chosen.append(sets.index(frozenset(up)))
+    return chosen
 
 
-def _ray_rows(lin: _Lin, sizes) -> list:
+def _ray_rows(labels: tuple, ups: Sequence) -> list:
     """Coordinate-difference rows (columns ``labels[1:]`` minus
-    ``labels[0]``) of the tuple of up-set generators of the given sizes."""
-    n = len(lin.labels)
+    ``labels[0]``) of the indicator vectors of one label set per axis."""
     rows = []
-    for seq, s in zip(lin.seqs, sizes):
-        up = set(seq[n - s :])
-        base = lin.labels[0] in up
-        rows.append([(lab in up) - base for lab in lin.labels[1:]])
+    for up in ups:
+        base = labels[0] in up
+        rows.append([(lab in up) - base for lab in labels[1:]])
     return rows
 
 
-def _ray_verdict(lin: _Lin) -> FixityVerdict:
-    """Exact decision of a linear configuration by the ray criterion."""
-    found = _ray_search(lin)
+def _ray_verdict(cfg, gens: Sequence) -> FixityVerdict:
+    """Exact decision by the ray criterion over per-axis filters ``gens``
+    (of a configuration or a ``_Lin``; only its labels and axes are
+    read)."""
+    found = _ray_search(cfg.labels, gens)
     if len(found) == 2:
-        n = len(lin.labels)
         cert = {"type": "ray_pair"}
         for key, d in (("plus", 1), ("minus", -1)):
-            cert[key] = {
-                axis: list(seq[n - s :]) for axis, seq, s in zip(lin.axes, lin.seqs, found[d])
-            }
+            cert[key] = {axis: list(g[k]) for axis, g, k in zip(cfg.axes, gens, found[d])}
         return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
     if not found:
         raise InternalCheckError("the satisfying region is open, so some ray determinant is nonzero")
     sign = ConfigSign(next(iter(found)))
-    m = len(lin.axes)
-    return FixityVerdict(Status.FIXED, sign, {"type": "ray_all", "tuples": m**m, "sign": str(sign)})
+    cert = {"type": "ray_all", "tuples": prod(map(len, gens)), "sign": str(sign)}
+    return FixityVerdict(Status.FIXED, sign, cert)
+
+
+def _replay_ray(cfg, gens: Sequence, status: Status, sign, cert) -> bool:
+    """Replay a ``ray_pair`` or ``ray_all`` certificate over ``gens``."""
+    if cert["type"] == "ray_pair":
+        signs = []
+        for key in ("plus", "minus"):
+            try:
+                chosen = _ray_choice(cfg.axes, gens, cert[key])
+            except ValueError:
+                return False
+            signs.append(_det_sign_int(_ray_rows(cfg.labels, [g[k] for g, k in zip(gens, chosen)])))
+        return status is Status.NON_FIXED and signs == [1, -1]
+    return (
+        status is Status.FIXED
+        and cert["tuples"] == prod(map(len, gens))
+        and list(_ray_search(cfg.labels, gens)) == [sign.value]
+        and cert["sign"] == str(sign)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +723,7 @@ def _decide_memoized(lin: _Lin) -> FixityVerdict:
             if verdict.status is Status.UNKNOWN:
                 verdict = _expansion_verdict(rep)
             if verdict.status is Status.UNKNOWN:
-                verdict = _ray_verdict(rep)
+                verdict = _ray_verdict(rep, _chain_filters(rep))
         rep_payload = {
             "labels": list(rep.labels),
             "axes": list(rep.axes),
@@ -684,135 +745,41 @@ def _decide_memoized(lin: _Lin) -> FixityVerdict:
     return FixityVerdict(verdict.status, ConfigSign(parity.value * verdict.sign.value), cert)
 
 
-def _totally_incomparable_pair(cfg: Configuration):
-    for e, f in combinations(cfg.labels, 2):
-        if not any(o.comparable(e, f) for o in cfg.orders):
-            return e, f
-    return None
-
-
-def _sample_values(cfg: Configuration, rng: random.Random) -> dict:
-    """One random satisfying assignment: per axis, sorted distinct integers
-    laid onto a random linear extension of the axis ordering."""
-    values = {}
-    n = cfg.n()
-    for axis, ordering in zip(cfg.axes, cfg.orders):
-        draws = sorted(rng.sample(range(1 << 40), n))
-        if ordering.is_linear():
-            seq = ordering.sequence()
-        else:
-            remaining = list(cfg.labels)
-            seq = []
-            while remaining:
-                candidates = [
-                    lab
-                    for lab in remaining
-                    if not any(ordering.less(o, lab) for o in remaining if o != lab)
-                ]
-                seq.append(candidates[rng.randrange(len(candidates))])
-                remaining.remove(seq[-1])
-        for v, lab in zip(draws, seq):
-            values[(lab, axis)] = v
-    return values
-
-
-def _det_sign_of_values(cfg: Configuration, values: Mapping) -> int:
-    first = cfg.labels[0]
-    rows = [
-        [values[(lab, axis)] - values[(first, axis)] for lab in cfg.labels[1:]]
-        for axis in cfg.axes
-    ]
-    return _det_sign_int(rows)
-
-
-def _hunt_opposite_signs(cfg: Configuration, seed, attempts: int = 128):
-    rng = random.Random(f"hunt:{seed}")
-    found = {}
-    for _ in range(attempts):
-        values = _sample_values(cfg, rng)
-        s = _det_sign_of_values(cfg, values)
-        if s != 0 and s not in found:
-            found[s] = values
-        if len(found) == 2:
-            return found[1], found[-1]
-    return None
-
-
 def decide(
     cfg: Configuration,
     debug_crosscheck: bool = False,
     frontier_samples: int = 1000,
-    seed: int = 0,
 ) -> FixityVerdict:
     """Decide fixity of any configuration (orderings may be partial).
 
-    Partial inputs run through their linear extensions: NON_FIXED on the
-    first non-fixed extension, FIXED when every extension is fixed with
-    one common sign.  Extensions that are all fixed but with clashing
-    signs only occur for the empty two-label configuration, where both
-    orientations are trivially realizable; at n >= 3 a clash would
-    contradict the convexity of the satisfying region and raises.
-
     Linear inputs of n >= 5 labels are decided by the extreme-element
     lemma, then the cofactor expansion, then the ray-determinant
-    criterion, so every verdict is FIXED or NON_FIXED.  ``seed`` seeds the
-    search for a sampled witness on partial inputs with a totally
-    incomparable pair; ``frontier_samples`` no longer has an effect.
-    Raises ValueError above :data:`MAX_LABELS` labels.
+    criterion.  A partial input first decides its first linear extension
+    (per axis, the first label in label order with no remaining
+    predecessor): a non-fixed one certifies ``extension``, since its
+    region lies inside the input's.  Otherwise the ray criterion runs over
+    each axis's filters, its proper nonempty up-sets, whose indicator
+    vectors generate the axis's satisfying coordinates as they do for a
+    chain.  Every verdict is FIXED or NON_FIXED; ``frontier_samples`` has
+    no effect.  Raises ValueError above :data:`MAX_LABELS` labels.
     """
     check_size(cfg.n())
     if cfg.is_linear():
         return _decide_lin(_Lin.of(cfg), debug_crosscheck)
-
-    pair = _totally_incomparable_pair(cfg)
-    if pair is not None and cfg.n() >= 3:
-        hunt = _hunt_opposite_signs(cfg, seed)
-        if hunt is not None:
-            plus, minus = hunt
-            cert = {
-                "type": "sampled_witness",
-                "pair": list(pair),
-                "plus": _values_json(cfg, plus),
-                "minus": _values_json(cfg, minus),
-            }
-            return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
-
-    signs = set()
-    count = 0
-    for ext in _extensions(cfg):
-        verdict = _decide_lin(ext, debug_crosscheck)
-        count += 1
-        if verdict.status is Status.NON_FIXED:
-            cert = {
-                "type": "extension",
-                "orders": {a: list(seq) for a, seq in zip(ext.axes, ext.seqs)},
-                "inner": verdict.certificate,
-            }
-            return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
-        signs.add(verdict.sign)
-    if len(signs) == 1:
-        sign = signs.pop()
-        cert = {"type": "extensions_all_fixed", "count": count, "sign": str(sign)}
-        return FixityVerdict(Status.FIXED, sign, cert)
-    # Extensions all fixed with both signs realized.
-    if cfg.n() == 2:
-        cert = {"type": "opposite_extensions", "count": count}
+    first = _Lin(cfg.labels, cfg.axes, tuple(o.first_extension() for o in cfg.orders))
+    verdict = _decide_lin(first, debug_crosscheck)
+    if verdict.status is Status.NON_FIXED:
+        cert = {
+            "type": "extension",
+            "orders": {a: list(seq) for a, seq in zip(first.axes, first.seqs)},
+            "inner": verdict.certificate,
+        }
         return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
-    raise InternalCheckError(
-        "extensions of a partial configuration cannot be all fixed with "
-        "disagreeing signs beyond n=2"
-    )
+    return _ray_verdict(cfg, _partial_filters(cfg))
 
 
 # ---------------------------------------------------------------------------
 # witness construction
-
-
-def _values_json(cfg: Configuration, values: Mapping) -> dict:
-    return {
-        str(lab): {str(a): str(Fraction(values[(lab, a)])) for a in cfg.axes}
-        for lab in cfg.labels
-    }
 
 
 def _det_value(cfg_labels, cfg_axes, values: Mapping) -> Fraction:
@@ -921,33 +888,38 @@ def _lift_witness(lin: _Lin, e, axis_index: int, child_pairs):
     return results[1], results[-1]
 
 
-def _ray_witness(lin: _Lin, cert: dict):
-    """Witness pair from a ``ray_pair`` certificate.
+def _ray_witness(cfg, gens: Sequence, cert: dict):
+    """Witness pair from a ``ray_pair`` certificate over per-axis filters
+    ``gens`` (of a configuration or a ``_Lin``).
 
-    For each named tuple, every up-set generator of an axis gets weight 1
-    except the named one, which gets weight ``t``; a label's coordinate is
-    the total weight of the generators containing it, so the orders hold.
-    The determinant is then a polynomial in ``t`` whose ``t^m`` coefficient
-    is the named tuple's determinant, a nonzero integer; every other
-    coefficient sums at most ``m^m`` tuple determinants of at most
-    ``m^(m/2)`` each (Hadamard), so past the Cauchy bound ``1 + m^(2m)``
-    the sign is the named one.  ``t`` doubles from 2 until the sign holds.
+    For each named tuple, every filter of an axis gets weight 1 except
+    the named one, which gets weight ``t``; a label's coordinate is the
+    total weight of the filters containing it, so the orders hold (a
+    filter holding ``e`` holds every label above it, and the filter of the
+    labels at or above ``f`` holds ``f`` but no label below it).  The
+    determinant is then a polynomial in ``t`` whose ``t^m`` coefficient is
+    the named tuple's determinant, a nonzero integer; every other
+    coefficient sums at most ``T`` tuple determinants (``T`` the number of
+    tuples) of at most ``m^(m/2)`` each (Hadamard), so past the Cauchy
+    bound ``1 + T m^m`` the sign is the named one.  ``t`` doubles from 2
+    until the sign holds.
     """
-    m = len(lin.axes)
-    bound = 1 + m ** (2 * m)
+    m = len(cfg.axes)
+    bound = 1 + prod(map(len, gens)) * m**m
+    counts = [Counter(lab for gen in axis_gens for lab in gen) for axis_gens in gens]
     pair = []
     for key, want in (("plus", 1), ("minus", -1)):
-        sizes = _ray_sizes(lin, cert[key])
-        if _det_sign_int(_ray_rows(lin, sizes)) != want:
+        ups = [g[k] for g, k in zip(gens, _ray_choice(cfg.axes, gens, cert[key]))]
+        if _det_sign_int(_ray_rows(cfg.labels, ups)) != want:
             raise ValueError(f"certificate invalid: the {key!r} tuple has the wrong determinant sign")
         t = 2
         while True:
             values = {
-                (lab, axis): p + (t - 1) * (p >= m + 1 - s)
-                for axis, seq, s in zip(lin.axes, lin.seqs, sizes)
-                for p, lab in enumerate(seq)
+                (lab, axis): count[lab] + (t - 1) * (lab in up)
+                for axis, count, up in zip(cfg.axes, counts, ups)
+                for lab in cfg.labels
             }
-            if _det_sign_of_values(lin, values) == want:
+            if _det_sign_of_values(cfg, values) == want:
                 break
             if t > bound:
                 raise InternalCheckError("ray witness sign does not hold past the Cauchy bound")
@@ -957,14 +929,21 @@ def _ray_witness(lin: _Lin, cert: dict):
 
 
 def _witness_values_linear(lin: _Lin, cert: dict | None = None):
+    """Witness values of a linear configuration.  An ``equivalent``,
+    ``extreme_lemma`` or ``ray_pair`` certificate is followed (and
+    checked); otherwise an extreme-removal chain is searched, then the ray
+    criterion."""
     if len(lin.labels) == 2:
         raise NotNonFixedError("a linear two-label configuration is always fixed")
-    if cert is None:
-        cert = _lemma_certificate(lin) or _ray_verdict(lin).certificate
+    kind = cert["type"] if cert is not None else None
+    if kind == "equivalent":
+        return _witness_through(lin, cert)
+    if kind not in ("extreme_lemma", "ray_pair"):
+        cert = _lemma_certificate(lin) or _ray_verdict(lin, _chain_filters(lin)).certificate
     if cert["type"] == "ray_all":
         raise NotNonFixedError("the configuration is fixed")
     if cert["type"] == "ray_pair":
-        return _ray_witness(lin, cert)
+        return _ray_witness(lin, _chain_filters(lin), cert)
     stack, base = _walk_chain(lin, cert)
     pair = _witness_dim2_values(base)
     for parent, e, a in reversed(stack):
@@ -972,36 +951,61 @@ def _witness_values_linear(lin: _Lin, cert: dict | None = None):
     return pair
 
 
+def _witness_through(lin: _Lin, cert: dict):
+    """Witness values of ``lin`` from the representative of its
+    ``equivalent`` certificate: the representative's witness, following
+    the inner certificate, carried back through the group element.  Each
+    input axis takes the values of the representative axis it feeds,
+    negated when that axis is reversed, under the representative's names
+    for its labels; an orientation-reversing element swaps plus and
+    minus."""
+    unwrapped = _unwrap(lin, cert)
+    if unwrapped is None:
+        raise ValueError("certificate invalid: the group element does not map the input to the representative")
+    g, rep = unwrapped
+    feeds = {j: i for i, j in enumerate(g.axis_source)}
+    pair = [
+        {
+            (lab, axis): values[(rep.labels[g.label_perm[k]], rep.axes[feeds[j]])]
+            * (-1 if g.reversals[feeds[j]] else 1)
+            for k, lab in enumerate(lin.labels)
+            for j, axis in enumerate(lin.axes)
+        }
+        for values in _witness_values_linear(rep, cert["inner"])
+    ]
+    return tuple(pair) if equivalence.sign_parity(g) is FormalSign.PLUS else tuple(pair[::-1])
+
+
 def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> WitnessPair:
     """Explicit rational assignments certifying non-fixity.
 
     Both assignments satisfy the configuration and their determinant signs
     are strictly opposite; the result is verified exactly before being
-    returned.  When ``verdict`` carries an extreme-removal or ``ray_pair``
-    certificate it is followed (and validated) instead of searching
-    afresh; the search tries an extreme-removal chain, then the ray
-    criterion.  Raises :class:`NotNonFixedError` when the configuration is
-    fixed, ValueError above :data:`MAX_LABELS` labels.
+    returned.  On linear input a given ``equivalent``, extreme-removal or
+    ``ray_pair`` certificate is followed (and validated) instead of
+    searching afresh; the search tries an extreme-removal chain, then the
+    ray criterion.  Partial input follows its certificate, ``decide``'s
+    when none is given: the witness of the named linear extension, or the
+    filter weights of a ``ray_pair``.  Raises :class:`NotNonFixedError`
+    when the configuration is fixed, ValueError above :data:`MAX_LABELS`
+    labels.
     """
     check_size(cfg.n())
-    cert = None
-    if verdict is not None and verdict.certificate is not None:
-        if verdict.certificate.get("type") in ("extreme_lemma", "ray_pair"):
-            cert = verdict.certificate
+    cert = verdict.certificate if verdict is not None else None
     if cfg.is_linear():
         plus, minus = _witness_values_linear(_Lin.of(cfg), cert)
-    elif cfg.n() == 2:
-        # the empty ordering: the two labels swap places
-        first, second = cfg.labels
-        axis = cfg.axes[0]
-        plus, minus = {(first, axis): 0, (second, axis): 1}, {(first, axis): 1, (second, axis): 0}
     else:
-        for ext in _extensions(cfg):
-            if _decide_lin(ext).status is Status.NON_FIXED:
-                plus, minus = _witness_values_linear(ext)
-                break
+        if cert is None:
+            cert = decide(cfg).certificate
+        if cert["type"] == "extension":
+            ext = _extension(cfg, cert)
+            if ext is None:
+                raise ValueError("certificate invalid: the extension does not contain the input orders")
+            plus, minus = _witness_values_linear(ext)
+        elif cert["type"] == "ray_pair":
+            plus, minus = _ray_witness(cfg, _partial_filters(cfg), cert)
         else:
-            raise NotNonFixedError("every linear extension is fixed")
+            raise NotNonFixedError("the configuration is fixed")
     pair = WitnessPair(
         PointAssignment(cfg.labels, cfg.axes, plus),
         PointAssignment(cfg.labels, cfg.axes, minus),
@@ -1018,30 +1022,29 @@ def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> W
 def _replay(cfg: Configuration, status: Status, sign, cert) -> bool:
     kind = cert["type"]
     if kind == "extension":
-        seqs = tuple(tuple(cert["orders"][a]) for a in cfg.axes)
-        for ordering, seq in zip(cfg.orders, seqs):
-            if not ordering.pairs <= Ordering.chain(seq, cfg.labels).pairs:
-                return False
-        ext = _Lin(cfg.labels, cfg.axes, seqs)
-        return status is Status.NON_FIXED and _replay_lin(ext, status, ConfigSign.BOTH, cert["inner"])
-    if kind == "extensions_all_fixed":
-        verdicts = [_decide_lin(ext) for ext in _extensions(cfg)]
+        ext = _extension(cfg, cert)
         return (
-            status is Status.FIXED
-            and len(verdicts) == cert["count"]
-            and all(v.status is Status.FIXED and v.sign is sign for v in verdicts)
+            ext is not None
+            and status is Status.NON_FIXED
+            and _replay_lin(ext, status, ConfigSign.BOTH, cert["inner"])
         )
-    if kind == "opposite_extensions":
-        verdicts = [_decide_lin(ext) for ext in _extensions(cfg)]
-        signs = {v.sign for v in verdicts if v.status is Status.FIXED}
-        return status is Status.NON_FIXED and len(verdicts) == cert["count"] and len(signs) == 2
-    if kind == "sampled_witness":
-        pair = WitnessPair(
-            _assignment_from_json(cfg, cert["plus"]),
-            _assignment_from_json(cfg, cert["minus"]),
-        )
-        return status is Status.NON_FIXED and verify_witness(pair, cfg)
+    if kind in ("ray_pair", "ray_all") and not cfg.is_linear():
+        return _replay_ray(cfg, _partial_filters(cfg), status, sign, cert)
     return _replay_lin(_Lin.of(cfg), status, sign, cert)
+
+
+def _extension(cfg: Configuration, cert: Mapping):
+    """The linear extension an ``extension`` certificate names, or None
+    when some input pair is out of order in it; ValueError unless every
+    sequence lists every label once."""
+    seqs = tuple(tuple(cert["orders"][a]) for a in cfg.axes)
+    for ordering, seq in zip(cfg.orders, seqs):
+        if len(seq) != len(cfg.labels) or set(seq) != set(cfg.labels):
+            raise ValueError("extension sequences must list every label exactly once")
+        pos = {lab: i for i, lab in enumerate(seq)}
+        if any(pos[e] > pos[f] for e, f in ordering.pairs):
+            return None
+    return _Lin(cfg.labels, cfg.axes, seqs)
 
 
 def _representative(rep: Mapping) -> _Lin:
@@ -1058,6 +1061,20 @@ def _representative(rep: Mapping) -> _Lin:
         if len(seq) != len(labels) or set(seq) != set(labels):
             raise ValueError("representative sequences must list every label exactly once")
     return _Lin(labels, axes, seqs)
+
+
+def _unwrap(lin: _Lin, cert: Mapping):
+    """The group element and representative of an ``equivalent``
+    certificate, or None when the element does not map ``lin`` onto the
+    representative; ValueError when either is malformed."""
+    g = equivalence.GroupElement(
+        tuple(cert["axis_source"]),
+        tuple(cert["label_perm"]),
+        tuple(bool(b) for b in cert["reversals"]),
+    )
+    rep = _representative(cert["representative"])
+    image = equivalence.act(g, equivalence.encode(lin.labels, lin.seqs), len(lin.labels))
+    return (g, rep) if image == equivalence.encode(rep.labels, rep.seqs) else None
 
 
 def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
@@ -1096,48 +1113,20 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         except ValueError:
             return False
         return True
-    if kind == "ray_pair":
-        try:
-            rows = [_ray_rows(lin, _ray_sizes(lin, cert[key])) for key in ("plus", "minus")]
-        except ValueError:
-            return False
-        return status is Status.NON_FIXED and [_det_sign_int(r) for r in rows] == [1, -1]
-    if kind == "ray_all":
-        found = _ray_search(lin)
-        m = len(lin.axes)
-        return (
-            status is Status.FIXED
-            and cert["tuples"] == m**m
-            and list(found) == [sign.value]
-            and cert["sign"] == str(sign)
-        )
+    if kind in ("ray_pair", "ray_all"):
+        return _replay_ray(lin, _chain_filters(lin), status, sign, cert)
     if kind == "equivalent":
-        g = equivalence.GroupElement(
-            tuple(cert["axis_source"]),
-            tuple(cert["label_perm"]),
-            tuple(bool(b) for b in cert["reversals"]),
-        )
-        rep_lin = _representative(cert["representative"])
-        image = equivalence.act(g, equivalence.encode(lin.labels, lin.seqs), len(lin.labels))
-        if image != equivalence.encode(rep_lin.labels, rep_lin.seqs):
+        unwrapped = _unwrap(lin, cert)
+        if unwrapped is None:
             return False
+        g, rep = unwrapped
         inner_sign = None
         if status is Status.FIXED:
-            parity = equivalence.sign_parity(g)
-            inner_sign = ConfigSign(parity.value * sign.value)
+            inner_sign = ConfigSign(equivalence.sign_parity(g).value * sign.value)
         elif status is Status.NON_FIXED:
             inner_sign = ConfigSign.BOTH
-        return _replay_lin(rep_lin, status, inner_sign, cert["inner"])
+        return _replay_lin(rep, status, inner_sign, cert["inner"])
     raise ValueError(f"unknown certificate type {kind!r}")
-
-
-def _assignment_from_json(cfg: Configuration, payload) -> PointAssignment:
-    values = {
-        (lab, axis): Fraction(payload[str(lab)][str(axis)])
-        for lab in cfg.labels
-        for axis in cfg.axes
-    }
-    return PointAssignment(cfg.labels, cfg.axes, values)
 
 
 def replay_certificate(cfg: Configuration, verdict: FixityVerdict) -> bool:
@@ -1156,46 +1145,56 @@ def replay_certificate(cfg: Configuration, verdict: FixityVerdict) -> bool:
 # sampling oracle
 
 _CHUNK = 512
+_BUCKET = {1: "pos", -1: "neg", 0: "zero"}
 
 
-def _sample_chunk(cfg: Configuration, seed, chunk_index: int, count: int):
-    rng = random.Random(f"{seed}:{chunk_index}")
-    pos = neg = zero = 0
-    for _ in range(count):
-        values = _sample_values(cfg, rng)
-        s = _det_sign_of_values(cfg, values)
-        if s > 0:
-            pos += 1
-        elif s < 0:
-            neg += 1
+def _sample_values(cfg: Configuration, rng: random.Random) -> dict:
+    """One random satisfying assignment: per axis, sorted distinct integers
+    laid onto a random linear extension of the axis ordering."""
+    values = {}
+    n = cfg.n()
+    for axis, ordering in zip(cfg.axes, cfg.orders):
+        draws = sorted(rng.sample(range(1 << 40), n))
+        if ordering.is_linear():
+            seq = ordering.sequence()
         else:
-            zero += 1
-    return pos, neg, zero
+            remaining = list(cfg.labels)
+            seq = []
+            while remaining:
+                candidates = [
+                    lab
+                    for lab in remaining
+                    if not any(ordering.less(o, lab) for o in remaining if o != lab)
+                ]
+                seq.append(candidates[rng.randrange(len(candidates))])
+                remaining.remove(seq[-1])
+        for v, lab in zip(draws, seq):
+            values[(lab, axis)] = v
+    return values
+
+
+def _det_sign_of_values(cfg: Configuration, values: Mapping) -> int:
+    first = cfg.labels[0]
+    rows = [
+        [values[(lab, axis)] - values[(first, axis)] for lab in cfg.labels[1:]]
+        for axis in cfg.axes
+    ]
+    return _det_sign_int(rows)
 
 
 def sample_signs(cfg: Configuration, seed: int, count: int, threads: int = 1) -> dict:
     """Histogram of determinant signs over random satisfying assignments.
 
-    Deterministic given ``seed`` and independent of ``threads``: draws are
-    chunked and each chunk's generator is seeded from (seed, chunk index).
+    Deterministic given ``seed``: draws come in chunks of 512, each from a
+    generator seeded from (seed, chunk index).  ``threads`` is accepted
+    for compatibility and has no effect: sampling runs in one thread,
+    since a thread pool did not speed it up.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    chunks = [
-        (i, min(_CHUNK, count - i * _CHUNK))
-        for i in range((count + _CHUNK - 1) // _CHUNK)
-    ]
-    if threads > 1:
-        # imported here: it costs a scan or decide process about 7 ms to load
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda c: _sample_chunk(cfg, seed, c[0], c[1]), chunks)
-            )
-    else:
-        parts = [_sample_chunk(cfg, seed, i, c) for i, c in chunks]
-    pos = sum(p for p, _, _ in parts)
-    neg = sum(n for _, n, _ in parts)
-    zero = sum(z for _, _, z in parts)
-    return {"pos": pos, "neg": neg, "zero": zero}
+    histogram = {"pos": 0, "neg": 0, "zero": 0}
+    for chunk in range((count + _CHUNK - 1) // _CHUNK):
+        rng = random.Random(f"{seed}:{chunk}")
+        for _ in range(min(_CHUNK, count - chunk * _CHUNK)):
+            histogram[_BUCKET[_det_sign_of_values(cfg, _sample_values(cfg, rng))]] += 1
+    return histogram

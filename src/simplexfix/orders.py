@@ -141,16 +141,40 @@ class Ordering:
 
     def extension_sequences(self) -> list:
         """Increasing label sequences of every linear order containing this
-        one, in lexicographic order (positions taken in stable label order).
+        one, in lexicographic order (positions taken in stable label order)."""
+        below = {lab: set() for lab in self.labels}
+        for e, f in self.pairs:
+            below[f].add(e)
+        out = []
 
-        Computed once per instance (the ordering is immutable), so
-        configurations that share an ordering, as a scan's do, share the
-        work."""
-        found = self.__dict__.get("_extension_sequences")
-        if found is None:
-            found = _extension_sequences(self.labels, self.pairs)
-            object.__setattr__(self, "_extension_sequences", found)
-        return list(found)
+        def extend(prefix, remaining):
+            if not remaining:
+                out.append(prefix)
+            for i, lab in enumerate(remaining):
+                if below[lab].isdisjoint(remaining):
+                    extend(prefix + (lab,), remaining[:i] + remaining[i + 1 :])
+
+        extend((), self.labels)
+        return out
+
+    def first_extension(self) -> tuple:
+        """``extension_sequences()[0]`` without the others: repeatedly the
+        first remaining label, in label order, with no remaining
+        predecessor."""
+        below = {lab: set() for lab in self.labels}
+        for e, f in self.pairs:
+            below[f].add(e)
+        remaining = list(self.labels)
+        seq = []
+        placed = set()
+        while remaining:
+            for lab in remaining:  # some label is free: the order is acyclic
+                if below[lab] <= placed:
+                    break
+            remaining.remove(lab)
+            seq.append(lab)
+            placed.add(lab)
+        return tuple(seq)
 
     def linear_extensions(self) -> list:
         """Every linear order containing this one, as chains in the order of
@@ -166,23 +190,6 @@ class Ordering:
         index = {lab: i for i, lab in enumerate(self.labels)}
         out.sort(key=lambda p: (index[p[0]], index[p[1]]))
         return out
-
-
-def _extension_sequences(labels: tuple, pairs: frozenset) -> tuple:
-    below = {lab: set() for lab in labels}
-    for e, f in pairs:
-        below[f].add(e)
-    out = []
-
-    def extend(prefix, remaining):
-        if not remaining:
-            out.append(prefix)
-        for i, lab in enumerate(remaining):
-            if below[lab].isdisjoint(remaining):
-                extend(prefix + (lab,), remaining[:i] + remaining[i + 1 :])
-
-    extend((), labels)
-    return tuple(out)
 
 
 def is_linear(ordering: Ordering) -> bool:

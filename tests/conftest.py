@@ -93,6 +93,24 @@ def partial_n3_quartet():
     return p1, p2, p3, p4
 
 
+def seeded_partials(rng, n, count, drop=0.5):
+    """``count`` seeded partial configurations on ``n`` labels: each axis
+    a random chain with each covering pair dropped with probability
+    ``drop`` (the rest closed transitively), at least one axis partial."""
+    labels = tuple("ABCDEFGH"[:n])
+    axes = tuple(f"a{i}" for i in range(n - 1))
+    out = []
+    while len(out) < count:
+        pairs = {}
+        for axis in axes:
+            seq = rng.sample(labels, n)
+            pairs[axis] = [p for p in zip(seq, seq[1:]) if rng.random() >= drop]
+        cfg = Configuration.from_pairs(labels, axes, pairs)
+        if not cfg.is_linear():
+            out.append(cfg)
+    return out
+
+
 @pytest.fixture(scope="session")
 def cloud_csv_path():
     assert CLOUD_CSV.exists()

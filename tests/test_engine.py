@@ -39,6 +39,7 @@ from conftest import (
     XYZ,
     fixed_n4_configs,
     partial_n3_quartet,
+    seeded_partials,
     subset_13710,
     subset_13710_extension,
     subset_15910,
@@ -346,25 +347,24 @@ def test_replay_checks_every_expansion_term(field):
         assert not replay_certificate(cfg, edited), k
 
 
-def _ray_reference(lin):
+def _ray_reference(labels, gens):
     """First tuple of each nonzero determinant sign, one determinant
     (integer Bareiss) per tuple."""
     from simplexfix.engine import _ray_rows
     from simplexfix.orders import _det_sign_int
 
-    n = len(lin.labels)
     found = {}
-    for sizes in product(range(1, n), repeat=n - 1):
-        d = _det_sign_int(_ray_rows(lin, sizes))
+    for chosen in product(*(range(len(g)) for g in gens)):
+        d = _det_sign_int(_ray_rows(labels, [g[k] for g, k in zip(gens, chosen)]))
         if d and d not in found:
-            found[d] = list(sizes)
+            found[d] = list(chosen)
             if len(found) == 2:
                 break
     return found
 
 
 def test_ray_search_matches_one_determinant_per_tuple():
-    from simplexfix.engine import _Lin, _ray_search
+    from simplexfix.engine import _Lin, _chain_filters, _partial_filters, _ray_search
 
     rng = random.Random(41)
     for n, count in ((2, 4), (3, 40), (4, 200), (5, 200), (6, 30)):
@@ -372,12 +372,19 @@ def test_ray_search_matches_one_determinant_per_tuple():
         axes = tuple(f"a{i}" for i in range(n - 1))
         for _ in range(count):
             lin = _Lin(labels, axes, tuple(tuple(rng.sample(labels, n)) for _ in axes))
-            assert _ray_search(lin) == _ray_reference(lin), lin.seqs
+            gens = _chain_filters(lin)
+            assert gens == [[seq[n - s :] for s in range(1, n)] for seq in lin.seqs]
+            assert _ray_search(labels, gens) == _ray_reference(labels, gens), lin.seqs
+    # filters of partial orders: several labels enter and leave per step
+    for n, count in ((3, 40), (4, 60), (5, 10)):
+        for cfg in seeded_partials(rng, n, count):
+            gens = _partial_filters(cfg)
+            assert _ray_search(cfg.labels, gens) == _ray_reference(cfg.labels, gens)
 
 
 def test_ray_criterion_agrees_with_decide_at_n3_and_n4():
     from simplexfix import enumerate_classes
-    from simplexfix.engine import _Lin, _ray_verdict
+    from simplexfix.engine import _chain_filters, _Lin, _ray_verdict
 
     rng = random.Random(42)
     perms = list(permutations(N4_LABELS))
@@ -386,7 +393,8 @@ def test_ray_criterion_agrees_with_decide_at_n3_and_n4():
         for _ in range(300)
     ]
     for cfg in [*enumerate_classes(3), *enumerate_classes(4), *seeded]:
-        ray = _ray_verdict(_Lin.of(cfg))
+        lin = _Lin.of(cfg)
+        ray = _ray_verdict(lin, _chain_filters(lin))
         verdict = decide(cfg)
         assert (ray.status, ray.sign) == (verdict.status, verdict.sign)
         assert ray.certificate["type"] == ("ray_all" if ray.status is Status.FIXED else "ray_pair")
@@ -481,22 +489,32 @@ def test_decide_partial_quartet_verdicts():
 
 
 def test_partial_fixed_reports_common_sign_of_extensions():
+    # x: A<B<C has 2 filters, y: B<A, B<C has 3 ({A}, {C}, {A, C}); both
+    # linear extensions are fixed +, and so is every filter tuple
+    from simplexfix import configuration_extensions
+
     p1 = partial_n3_quartet()[0]
+    assert {decide(ext).sign for ext in configuration_extensions(p1)} == {ConfigSign.PLUS}
     verdict = decide(p1)
     assert verdict.status is Status.FIXED
     assert verdict.sign is ConfigSign.PLUS
-    assert verdict.certificate["type"] == "extensions_all_fixed"
-    assert verdict.certificate["count"] == 2
+    assert verdict.certificate == {"type": "ray_all", "tuples": 6, "sign": "+"}
     assert replay_certificate(p1, verdict)
 
 
-def test_totally_incomparable_pair_shortcut():
+def test_partial_with_non_fixed_first_extension_certifies_it():
+    # x and y both A<B with C free: the first extension puts C last on
+    # both axes, two equal orders
     cfg = Configuration.from_pairs(
         LABELS3, AXES2, {"x": [("A", "B")], "y": [("A", "B")]}
     )
     verdict = decide(cfg)
     assert verdict.status is Status.NON_FIXED
-    assert verdict.certificate["type"] == "sampled_witness"
+    assert verdict.certificate == {
+        "type": "extension",
+        "orders": {"x": ["A", "B", "C"], "y": ["A", "B", "C"]},
+        "inner": {"type": "dim2_non_fixed", "relation": "equal"},
+    }
     assert replay_certificate(cfg, verdict)
 
 
@@ -569,15 +587,13 @@ def test_engine_builds_orderings_only_for_certificate_payloads(monkeypatch):
 
     monkeypatch.setattr(orders.Ordering, "__post_init__", counted)
     engine.clear_memo()
-    # an equivalent certificate's representative is checked as sequences,
-    # so only an extension certificate's orders are built (one per axis);
-    # FIXED5's replay, children included, builds none
-    for cfg, payload_orderings in ((FIXED5, 0), (partial, 3)):
+    # an equivalent certificate's representative is checked as sequences
+    # and an extension certificate's orders by positions, so neither
+    # FIXED5's replay, children included, nor the partial one builds any
+    for cfg in (FIXED5, partial):
         verdict = decide(cfg)
-        assert built == []
         assert replay_certificate(cfg, verdict)
-        assert len(built) == payload_orderings
-        built.clear()
+        assert built == []
     build_witness(partial)
     assert built == []
 
@@ -663,9 +679,11 @@ def test_partial_with_ray_decided_extension_is_fixed():
     assert extension_count(cfg) == 2
     inner = [decide(ext).certificate["inner"]["type"] for ext in configuration_extensions(cfg)]
     assert sorted(inner) == ["expansion", "ray_all"]
+    # the first extension is fixed, so the filter pass decides: y, z and w
+    # are chains (4 filters each), x has 5
     verdict = decide(cfg)
     assert verdict.status is Status.FIXED
-    assert verdict.certificate == {"type": "extensions_all_fixed", "count": 2, "sign": "-"}
+    assert verdict.certificate == {"type": "ray_all", "tuples": 5 * 4**3, "sign": "-"}
     assert replay_certificate(cfg, verdict)
 
 

@@ -141,6 +141,7 @@ def test_linear_extensions_contain_and_match_oracle(o):
     oracle = brute_force_extensions(o)
     assert sorted(e.sequence() for e in exts) == sorted(oracle)
     assert o.extension_sequences() == [e.sequence() for e in exts]
+    assert o.first_extension() == o.extension_sequences()[0] == oracle[0]
 
 
 def test_configuration_extension_counts():

@@ -1,0 +1,191 @@
+"""Partial input: the first linear extension, then the ray criterion over
+filters, checked against the extension loop it replaced."""
+
+import copy
+import random
+from itertools import combinations, product
+
+import pytest
+
+from simplexfix import (
+    ConfigSign,
+    Configuration,
+    FixityVerdict,
+    NotNonFixedError,
+    Ordering,
+    Status,
+    build_witness,
+    configuration_extensions,
+    decide,
+    replay_certificate,
+    verify_witness,
+)
+from simplexfix.orders import OrderingCycleError
+from conftest import seeded_partials
+
+
+def reference_decide(cfg):
+    """Status and sign by the extension loop: non-fixed as soon as one
+    linear extension is, otherwise fixed with the extensions' common sign;
+    only the empty two-label ordering has fixed extensions of both signs,
+    and it is non-fixed."""
+    signs = set()
+    for ext in configuration_extensions(cfg):
+        verdict = decide(ext)
+        if verdict.status is Status.NON_FIXED:
+            return Status.NON_FIXED, ConfigSign.BOTH
+        signs.add(verdict.sign)
+    if len(signs) == 2:
+        assert cfg.n() == 2
+        return Status.NON_FIXED, ConfigSign.BOTH
+    return Status.FIXED, signs.pop()
+
+
+def all_orderings(labels):
+    pairs = [(e, f) for e in labels for f in labels if e != f]
+    found = set()
+    for r in range(len(pairs) + 1):
+        for chosen in combinations(pairs, r):
+            try:
+                found.add(Ordering.from_pairs(labels, chosen).pairs)
+            except OrderingCycleError:
+                pass
+    return [Ordering(labels, p) for p in sorted(found, key=sorted)]
+
+
+def every_n3_configuration():
+    orderings = all_orderings(("A", "B", "C"))
+    return [Configuration(("A", "B", "C"), ("x", "y"), pair) for pair in product(orderings, repeat=2)]
+
+
+def assert_matches_reference(cfg):
+    verdict = decide(cfg)
+    assert (verdict.status, verdict.sign) == reference_decide(cfg), cfg
+    assert replay_certificate(cfg, verdict), cfg
+    return verdict
+
+
+def test_every_n3_configuration_matches_the_extension_loop():
+    cfgs = every_n3_configuration()
+    assert len(cfgs) == 361
+    partial = [cfg for cfg in cfgs if not cfg.is_linear()]
+    assert len(partial) == 325
+    kinds = {}
+    for cfg in cfgs:
+        kind = assert_matches_reference(cfg).certificate["type"]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["extension"] + kinds["ray_pair"] + kinds["ray_all"] == 325
+
+
+@pytest.mark.parametrize("n, count, drop", [(2, 1, 1.0), (4, 300, 0.5), (5, 60, 0.3), (5, 20, 0.5)])
+def test_seeded_partial_configurations_match_the_extension_loop(n, count, drop):
+    rng = random.Random(f"partial:{n}:{drop}")
+    for cfg in seeded_partials(rng, n, count, drop):
+        verdict = assert_matches_reference(cfg)
+        if verdict.status is Status.NON_FIXED:
+            assert verify_witness(build_witness(cfg, verdict), cfg)
+
+
+def test_empty_two_label_configuration_is_a_ray_pair():
+    cfg = Configuration.from_pairs(("A", "B"), ("x",), {"x": []})
+    verdict = decide(cfg)
+    assert verdict.to_json() == {
+        "status": "non_fixed",
+        "sign": "+-",
+        "certificate": {"type": "ray_pair", "plus": {"x": ["B"]}, "minus": {"x": ["A"]}},
+    }
+    assert replay_certificate(cfg, verdict)
+    pair = build_witness(cfg)
+    assert (pair.plus.value("A", "x"), pair.plus.value("B", "x")) == (1, 2)
+    assert (pair.minus.value("A", "x"), pair.minus.value("B", "x")) == (2, 1)
+
+
+# x free, y: A<C<B; the first extension (x: A<B<C) is fixed, so the
+# filter pass finds the opposite signs
+RAY_PAIR3 = Configuration.from_pairs(
+    ("A", "B", "C"), ("x", "y"), {"x": [], "y": [("A", "C"), ("C", "B")]}
+)
+# x: A<B, A<C; y: C<A<B; every filter tuple is <= 0
+RAY_ALL3 = Configuration.from_pairs(
+    ("A", "B", "C"), ("x", "y"), {"x": [("A", "B"), ("A", "C")], "y": [("C", "A"), ("A", "B")]}
+)
+
+
+def tampered(verdict, edit, sign=None):
+    cert = copy.deepcopy(verdict.certificate)
+    edit(cert)
+    return FixityVerdict(verdict.status, verdict.sign if sign is None else sign, cert)
+
+
+def test_partial_ray_pair_certificate_and_tampering():
+    verdict = decide(RAY_PAIR3)
+    assert verdict.certificate == {
+        "type": "ray_pair",
+        "plus": {"x": ["A"], "y": ["B"]},
+        "minus": {"x": ["C"], "y": ["B"]},
+    }
+    assert replay_certificate(RAY_PAIR3, verdict)
+    pair = build_witness(RAY_PAIR3, verdict)
+    assert verify_witness(pair, RAY_PAIR3)
+
+    def swap(c):
+        c["plus"], c["minus"] = c["minus"], c["plus"]
+
+    def not_a_filter(c):  # {A, B} is not up-closed on y: C lies above A
+        c["plus"]["y"] = ["A", "B"]
+
+    def repeated_label(c):
+        c["plus"]["y"] = ["B", "B"]
+
+    for edit in (swap, not_a_filter, repeated_label):
+        bad = tampered(verdict, edit)
+        assert not replay_certificate(RAY_PAIR3, bad)
+        with pytest.raises(ValueError, match="certificate invalid"):
+            build_witness(RAY_PAIR3, bad)
+    assert not replay_certificate(
+        RAY_PAIR3, FixityVerdict(Status.FIXED, ConfigSign.PLUS, verdict.certificate)
+    )
+    # on x every nonempty proper subset is a filter, so {B, C} stands
+    assert replay_certificate(RAY_PAIR3, tampered(verdict, lambda c: c["minus"].update(x=["B", "C"])))
+
+
+def test_partial_ray_all_certificate_and_tampering():
+    verdict = decide(RAY_ALL3)
+    # x has the filters {B}, {C}, {B, C}; y, a chain, has 2
+    assert verdict.certificate == {"type": "ray_all", "tuples": 6, "sign": "-"}
+    assert verdict.sign is ConfigSign.MINUS
+    assert replay_certificate(RAY_ALL3, verdict)
+
+    def flip(c):
+        c["sign"] = "+"
+
+    assert not replay_certificate(RAY_ALL3, tampered(verdict, lambda c: c.update(tuples=4)))
+    assert not replay_certificate(RAY_ALL3, tampered(verdict, flip))
+    assert not replay_certificate(RAY_ALL3, tampered(verdict, flip, ConfigSign.PLUS))
+    assert not replay_certificate(RAY_ALL3, tampered(verdict, lambda c: None, ConfigSign.PLUS))
+    # the same claim on a non-fixed input fails
+    assert not replay_certificate(RAY_PAIR3, verdict)
+    with pytest.raises(NotNonFixedError):
+        build_witness(RAY_ALL3, verdict)
+
+
+def test_extension_certificates_are_checked_by_position():
+    from conftest import subset_13710
+
+    cfg = subset_13710()
+    verdict = decide(cfg)
+    assert verdict.certificate["type"] == "extension"
+    assert replay_certificate(cfg, verdict)
+
+    def out_of_order(c):  # x holds 7 < 3
+        c["orders"]["x"] = ["3", "7", "1", "10"]
+
+    assert not replay_certificate(cfg, tampered(verdict, out_of_order))
+    with pytest.raises(ValueError, match="certificate invalid"):
+        build_witness(cfg, tampered(verdict, out_of_order))
+    for edit in (
+        lambda c: c["orders"]["x"].append("7"),
+        lambda c: c["orders"]["x"].__setitem__(0, "3"),
+    ):
+        with pytest.raises(ValueError, match="every label exactly once"):
+            replay_certificate(cfg, tampered(verdict, edit))

@@ -165,6 +165,49 @@ def test_witness_follows_ray_pair_certificates():
             build_witness(rep_cfg, FixityVerdict(verdict.status, verdict.sign, bad))
 
 
+def test_witness_follows_equivalent_certificates(monkeypatch):
+    # decide wraps a linear verdict in `equivalent`: the witness is built on
+    # the representative from the inner certificate and carried back
+    # through the group element, with no search on the input
+    import copy
+
+    from simplexfix import FixityVerdict, engine, sign_parity
+    from simplexfix.configio import parse_configuration
+    from simplexfix.equivalence import GroupElement
+
+    readme = parse_configuration("x: D<B<A<E<C\ny: D<C<A<E<B\nz: B<D<C<A<E\nu: A<D<C<B<E\n")
+    readme_verdict = decide(readme)
+    assert readme_verdict.certificate["type"] == "equivalent"
+    calls = []
+    for name in ("_lemma_certificate", "_ray_search"):
+        original = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    assert verify_witness(build_witness(readme, readme_verdict), readme)
+    assert calls == []
+    build_witness(readme)  # without a verdict, as `simplexfix witness`, it searches
+    assert calls
+    monkeypatch.undo()
+
+    # both parities of the group element, reversed axes among them
+    rng = random.Random(22)
+    perms = list(permutations(N4_LABELS))
+    parities = set()
+    for _ in range(100):
+        cfg = Configuration.from_sequences(N4_LABELS, XYZ, [rng.choice(perms) for _ in range(3)])
+        verdict = decide(cfg)
+        if verdict.status is Status.NON_FIXED:
+            cert = verdict.certificate
+            g = GroupElement(tuple(cert["axis_source"]), tuple(cert["label_perm"]), tuple(cert["reversals"]))
+            parities.add(str(sign_parity(g)))
+            assert verify_witness(build_witness(cfg, verdict), cfg)
+    assert parities == {"+", "-"}
+
+    wrong = copy.deepcopy(readme_verdict.certificate)
+    wrong["label_perm"] = wrong["label_perm"][1:] + wrong["label_perm"][:1]
+    with pytest.raises(ValueError, match="certificate invalid"):
+        build_witness(readme, FixityVerdict(readme_verdict.status, readme_verdict.sign, wrong))
+
+
 def test_fixed_configurations_refuse_witnesses():
     with pytest.raises(NotNonFixedError):
         build_witness(Configuration.from_sequences(LABELS3, ("x", "y"), (LABELS3, ("B", "C", "A"))))
