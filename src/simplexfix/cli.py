@@ -6,7 +6,8 @@ arguments are file paths (``-`` for stdin) in the text or JSON format of
 :mod:`simplexfix.configio`.
 
 Exit codes: 0 success, 1 usage error (including a configuration of more
-than ``engine.MAX_LABELS`` labels), 2 unparseable input (with
+than ``engine.MAX_LABELS`` labels, and ``extensions`` on one of more than
+:data:`MAX_EXTENSIONS` linear extensions), 2 unparseable input (with
 ``line:column`` diagnostics).  Flag defaults honor environment variables
 ``SIMPLEXFIX_FORMAT``, ``SIMPLEXFIX_SEED``, ``SIMPLEXFIX_SAMPLES`` and
 ``SIMPLEXFIX_THREADS``; a malformed value is a usage error.  Identical invocations print byte-identical
@@ -36,10 +37,14 @@ from .engine import (
     decide,
     sample_signs,
 )
-from .orders import configuration_extensions
+from .orders import configuration_extensions, extension_count
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
+
+#: most linear extensions ``extensions`` lists; it counts them first, so a
+#: sparse input is refused at once instead of enumerated without bound
+MAX_EXTENSIONS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +171,11 @@ def _cmd_decide(args) -> int:
 
 def _cmd_extensions(args) -> int:
     cfg = _load_configuration(args.config)
+    count = extension_count(cfg)
+    if count > MAX_EXTENSIONS:
+        raise ValueError(
+            f"configuration has {count} linear extensions; extensions lists at most {MAX_EXTENSIONS}"
+        )
     extensions = list(configuration_extensions(cfg))
     if args.format == "json":
         print(json.dumps([configuration_to_json(e) for e in extensions]))

@@ -221,8 +221,7 @@ def _summary(counts: dict, jitter_seed: int | None) -> dict:
     return out
 
 
-def json_objects(results: Iterable, jitter_seed: int | None = None,
-                 include_certificates: bool = False) -> Iterator[dict]:
+def json_objects(results: Iterable, jitter_seed: int | None = None) -> Iterator[dict]:
     """One object per result as each arrives, then the summary object
     from the running counts."""
     counts = _counts(())
@@ -231,8 +230,6 @@ def json_objects(results: Iterable, jitter_seed: int | None = None,
         obj = {"subset": list(r.labels), "status": r.status.value}
         if r.sign is not None:
             obj["sign"] = str(r.sign)
-        if include_certificates and r.verdict.certificate is not None:
-            obj["certificate"] = r.verdict.certificate
         yield obj
     yield {"summary": _summary(counts, jitter_seed)}
 
@@ -277,9 +274,9 @@ class ScanReport:
     def summary(self) -> dict:
         return _summary(self.counts, self.jitter_seed)
 
-    def to_json_objects(self, include_certificates: bool = False) -> list:
+    def to_json_objects(self) -> list:
         """One object per subset plus a trailing summary object."""
-        return list(json_objects(self.results, self.jitter_seed, include_certificates))
+        return list(json_objects(self.results, self.jitter_seed))
 
     def to_text(self) -> str:
         width = max((len(" ".join(map(str, r.labels))) for r in self.results), default=6)

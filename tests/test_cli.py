@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from simplexfix.cli import main
+from simplexfix.cli import MAX_EXTENSIONS, main
 
 THM_FIXED = "x: A < B < C\ny: B < C < A\n"
 EQUAL = "x: A < B < C\ny: A < B < C\n"
@@ -80,6 +80,17 @@ def test_extensions_output(tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload) == 6
     assert all(p["labels"] == ["A", "B", "C"] for p in payload)
+
+
+def test_extensions_refuses_sparse_eight_label_input(tmp_path, capsys):
+    # two chains per axis: 70 extensions each, 70^7 in all
+    axes = ("a", "b", "c", "d", "e", "f", "g")
+    text = "labels: A B C D E F G H\n" + "".join(
+        f"{axis}: A < B < C < D, E < F < G < H\n" for axis in axes
+    )
+    code, out, err = run(capsys, "extensions", write(tmp_path, "sparse8.cfg", text))
+    assert code == 1 and out == ""
+    assert f"{70**7} linear extensions" in err and f"at most {MAX_EXTENSIONS}" in err
 
 
 def test_canon_equivalent_inputs_agree(tmp_path, capsys):

@@ -22,7 +22,7 @@ from simplexfix import (
     orbit_size,
     sign_parity,
 )
-from simplexfix.equivalence import default_axes, default_labels
+from simplexfix.equivalence import canonical, code_of, default_axes, default_labels
 from conftest import XYZ, fixed_n4_configs
 
 
@@ -216,6 +216,28 @@ def test_enumerate_classes_counts_and_fixed_split():
         enumerate_classes(5)
     with pytest.raises(ValueError):
         enumerate_classes(1)
+
+
+def brute_force_classes(n):
+    """Canonical codes of every identity-first linear code, deduplicated
+    and sorted: the exhaustive reference for ``enumerate_classes``."""
+    identity = bytes(range(n))
+    perms = [bytes(p) for p in permutations(range(n))]
+    return sorted(
+        {canonical(identity + b"".join(rest), n)[0] for rest in product(perms, repeat=n - 2)}
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_classes_matches_brute_force(n):
+    assert [code_of(rep) for rep in enumerate_classes(n)] == brute_force_classes(n)
+
+
+def test_five_label_enumeration_matches_orbit_count():
+    reps = enumerate_classes(5, allow_long=True)
+    assert len(reps) == 5097
+    assert all(rep.is_linear() for rep in reps[:50])
+    assert sum(orbit_size(rep) for rep in reps) == factorial(5) ** 4
 
 
 def test_count_classes_sequence():
