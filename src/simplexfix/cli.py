@@ -226,11 +226,10 @@ def _cmd_enumerate_classes(args) -> int:
 
 def _cmd_scan(args) -> int:
     cloud = landmark.PointCloud.from_csv(_read_source(args.csv))
-    results = landmark.iter_scan(cloud, jitter_seed=args.jitter)
     if args.format == "json":
-        objects = landmark.json_objects(results, args.jitter)
-        lines = (json.dumps(obj, sort_keys=True) for obj in objects)
+        lines = landmark.json_lines(cloud, args.jitter)
     else:
+        results = landmark.iter_scan(cloud, jitter_seed=args.jitter)
         lines = landmark.text_lines(results, landmark.subset_width(cloud), args.jitter)
     for line in lines:  # each line goes out as soon as its subset is decided
         print(line, flush=True)

@@ -69,6 +69,7 @@ from typing import Iterable, Mapping, Sequence
 from . import equivalence
 from .orders import (
     Configuration,
+    Ordering,
     PointAssignment,
     _det_int,
     _det_sign_int,
@@ -453,10 +454,28 @@ def _chain_filters(lin: _Lin) -> list:
     return [_filters(seq, zip(seq, seq[1:])) for seq in lin.seqs]
 
 
+def _axis_parts(o: Ordering) -> list:
+    """``[first extension, filters]`` of an axis ordering, the filters
+    listed once the ray pass first needs them.  An Ordering is immutable,
+    so both are kept on the instance, as ``functools.cached_property``
+    keeps its values: an ordering that many inputs share (a scan's weak
+    orders) computes each once, and they go when the ordering does."""
+    parts = o.__dict__.get("_ray_parts")
+    if parts is None:
+        parts = o.__dict__["_ray_parts"] = [o.first_extension(), None]
+    return parts
+
+
 def _partial_filters(cfg: Configuration) -> list:
     """Per axis, the filters of a configuration's orderings, listed in
     the order of the first extension."""
-    return [_filters(o.first_extension(), o.pairs) for o in cfg.orders]
+    out = []
+    for o in cfg.orders:
+        parts = _axis_parts(o)
+        if parts[1] is None:
+            parts[1] = _filters(parts[0], o.pairs)
+        out.append(parts[1])
+    return out
 
 
 def _ray_search(labels: tuple, gens: Sequence) -> dict:
@@ -760,13 +779,15 @@ def decide(
     region lies inside the input's.  Otherwise the ray criterion runs over
     each axis's filters, its proper nonempty up-sets, whose indicator
     vectors generate the axis's satisfying coordinates as they do for a
-    chain.  Every verdict is FIXED or NON_FIXED; ``frontier_samples`` has
-    no effect.  Raises ValueError above :data:`MAX_LABELS` labels.
+    chain.  Both the first extension and the filters are kept on each
+    ordering, so inputs sharing orderings compute them once.  Every
+    verdict is FIXED or NON_FIXED; ``frontier_samples`` has no effect.
+    Raises ValueError above :data:`MAX_LABELS` labels.
     """
     check_size(cfg.n())
     if cfg.is_linear():
         return _decide_lin(_Lin.of(cfg), debug_crosscheck)
-    first = _Lin(cfg.labels, cfg.axes, tuple(o.first_extension() for o in cfg.orders))
+    first = _Lin(cfg.labels, cfg.axes, tuple(_axis_parts(o)[0] for o in cfg.orders))
     verdict = _decide_lin(first, debug_crosscheck)
     if verdict.status is Status.NON_FIXED:
         cert = {

@@ -3,11 +3,18 @@
 Every ``(d+1)``-subset of a ``d``-dimensional cloud induces an ordering
 configuration: per axis, the strict order of the coordinate values, ties
 leaving the pair incomparable.  The scan reports per-subset verdicts plus
-summary counts.  It ranks each axis once and decides each distinct
-per-axis rank pattern once (see :func:`iter_scan`), and it streams: the
-CLI writes each line as soon as its subset is decided and the summary
-from running counts.  It runs in one thread; ``threads`` and the CLI's
-``--threads`` are accepted and have no effect.
+summary counts.  Its work is done once per pair of points, per weak
+order or per distinct pattern, not once per subset (see
+:func:`iter_scan`): every pair of points is compared on every axis
+before the subset loop, each subset's pattern key is summed from those
+comparisons as the nested index loops choose its points, ``decide`` runs
+once per distinct pattern, and the first extension and filters of each
+per-axis weak order are computed once.  It streams: the CLI writes each
+line as soon as its subset is decided, from a prefix rendered once per
+status and sign and labels JSON-escaped once per point
+(:func:`json_lines`), and the summary from running counts.  It runs in
+one thread; ``threads`` and the CLI's ``--threads`` are accepted and
+have no effect.
 
 Coordinates are exact rationals parsed from their decimal text, so derived
 orderings never depend on binary rounding.  An optional jitter mode breaks
@@ -18,11 +25,12 @@ is marked non-exact.
 from __future__ import annotations
 
 import csv
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import itemgetter
+from math import comb
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .configio import InputFormatError
@@ -294,54 +302,162 @@ def _axis_ranks(cloud: PointCloud) -> list:
     return out
 
 
-def _renumber(ranks: tuple) -> tuple:
-    distinct = sorted(set(ranks))
-    return tuple(map(distinct.index, ranks))
+def _pair_codes(cloud: PointCloud) -> list:
+    """``codes[p][q]`` for points ``p < q`` in label order: the sum over
+    axes ``a`` of ``3**(a * pairs)`` times 0, 1 or 2 as point ``p`` lies
+    below, level with or above point ``q`` on axis ``a``, where ``pairs``
+    is the number of point pairs in a subset."""
+    n = len(cloud.labels)
+    pairs = comb(cloud.dimension + 1, 2)
+    codes = [[0] * n for _ in range(n)]
+    for a, column in enumerate(_axis_ranks(cloud)):
+        weight = 3 ** (a * pairs)
+        for p, x in enumerate(column):
+            row = codes[p]
+            for q in range(p + 1, n):
+                y = column[q]
+                row[q] += weight * ((x == y) + 2 * (x > y))
+    return codes
+
+
+def _prefixes(labels: tuple, terms: list, size: int) -> Iterator[tuple]:
+    """Every choice of the first ``size - 1`` points of a subset, in
+    lexicographic order, as ``(their labels, the sum of their pairs' key
+    terms, a vector giving each point j the sum of the key terms of its
+    pairs with them, the first j that may follow them)``.
+
+    ``terms[s][t][p][q]`` is the term of the subset's pair of positions
+    ``s < t`` when point ``p`` sits at ``s`` and ``q`` at ``t``.  Each level
+    adds its point's terms to the running vectors of every later position,
+    so the last position's vector is complete when the prefix is.
+    """
+    n = len(labels)
+    last = size - 1
+
+    def walk(t, start, chosen, key, partial):
+        # partial[u - t][j]: terms of the pairs (s, u), s < t, with point j at u
+        for i in range(start, n - last + t):
+            ahead = [list(map(add, vec, terms[t][u][i])) for u, vec in enumerate(partial[1:], t + 1)]
+            if t + 1 == last:
+                yield chosen + (labels[i],), key + partial[0][i], ahead[0], i + 1
+            else:
+                yield from walk(t + 1, i + 1, chosen + (labels[i],), key + partial[0][i], ahead)
+
+    return walk(0, 0, (), 0, [[0] * n] * size)
+
+
+def _scan(cloud: PointCloud, outcome) -> Iterator[tuple]:
+    """``(labels, outcome(verdict))`` per subset, the outcome computed once
+    per distinct pattern; see :func:`iter_scan`."""
+    size = cloud.dimension + 1
+    names = default_labels(size)
+    positions = [(s, t) for t in range(1, size) for s in range(t)]
+    pairs = [(names[s], names[t]) for s, t in positions]
+    # a subset's pattern key: the sum over its pairs k of 3**k times the
+    # pair's code, so axis a's code is its base-3**len(pairs) digit a, and
+    # that code's ternary digit k compares pair k on axis a
+    codes = _pair_codes(cloud)
+    terms = [[None] * size for _ in range(size)]
+    for k, (s, t) in enumerate(positions):
+        terms[s][t] = [[code * 3**k for code in row] for row in codes]
+    orderings = {}  # per-axis code -> its Ordering over names
+    decided = {}  # pattern key -> outcome
+
+    def configuration(key: int) -> Configuration:
+        orders = []
+        for _ in cloud.axes:
+            key, code = divmod(key, 3 ** len(pairs))
+            o = orderings.get(code)
+            if o is None:
+                below, rest = [], code
+                for pair in pairs:
+                    rest, c = divmod(rest, 3)
+                    if c != 1:
+                        below.append(pair if c == 0 else pair[::-1])
+                o = orderings[code] = Ordering(names, frozenset(below))
+            orders.append(o)
+        return Configuration(names, cloud.axes, tuple(orders))
+
+    labels = cloud.labels
+    for chosen, prefix_key, row, start in _prefixes(labels, terms, size):
+        for lab, term in zip(labels[start:], row[start:]):
+            key = prefix_key + term
+            hit = decided.get(key)
+            if hit is None:
+                hit = decided[key] = outcome(decide(configuration(key)))
+            yield chosen + (lab,), hit
+
+
+def _source(cloud: PointCloud, jitter_seed: int | None) -> PointCloud:
+    """The cloud a scan decides: checked for size, jittered on request."""
+    check_size(cloud.dimension + 1)
+    if len(cloud.labels) < cloud.dimension + 1:
+        raise ValueError("cloud has fewer points than dimension+1")
+    return jitter(cloud, jitter_seed) if jitter_seed is not None else cloud
 
 
 def iter_scan(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[SubsetResult]:
     """Decide every ``(d+1)``-subset, yielding each result as it is decided.
 
-    Subsets come lexicographically in the cloud's stable label order.  Each
-    axis is ranked once; a subset's *pattern* is, per axis, the ranks of its
-    points in label order renumbered within the subset.  Two subsets with
-    one pattern derive the same configuration up to the order-preserving
-    relabeling of their points, so they share status and sign: ``decide``
-    runs once per distinct pattern, on the configuration the pattern
-    spells over the labels ``A, B, ...``.  Raises ValueError when a subset
-    would exceed the engine's ``MAX_LABELS`` labels, before listing any
-    subset.
+    Subsets come lexicographically in the cloud's stable label order.  A
+    subset's *pattern* is, per axis and per pair of its points, whether
+    the first lies below, level with or above the second.  Two subsets
+    with one pattern derive the same configuration up to the
+    order-preserving relabeling of their points, so they share status and
+    sign: ``decide`` runs once per distinct pattern, on the configuration
+    the pattern spells over the labels ``A, B, ...``.
+
+    Keying compares every pair of points on every axis once, before any
+    subset, and packs the comparisons into one base-3 digit per axis and
+    pair.  A subset's key sums one term per pair of its points, added
+    level by level as the nested index loops choose them, so the
+    innermost loop adds one term per subset.  Each distinct per-axis code
+    becomes one shared ``Ordering``, a weak order on ``d+1`` points, and
+    ``decide`` computes the first extension and filters of each such
+    ordering once for all the patterns that contain it.
+
+    Raises ValueError when a subset would exceed the engine's
+    ``MAX_LABELS`` labels, before listing any subset.
     """
-    check_size(cloud.dimension + 1)
-    if len(cloud.labels) < cloud.dimension + 1:
-        raise ValueError("cloud has fewer points than dimension+1")
-    source = jitter(cloud, jitter_seed) if jitter_seed is not None else cloud
-    return _scan(source)
+    source = _source(cloud, jitter_seed)
+    return (
+        SubsetResult._scanned(labels, status, sign, source)
+        for labels, (status, sign) in _scan(source, lambda v: (v.status, v.sign))
+    )
 
 
-def _scan(cloud: PointCloud) -> Iterator[SubsetResult]:
-    size = cloud.dimension + 1
-    names = default_labels(size)
-    columns = _axis_ranks(cloud)
-    ids = {}  # per-axis pattern -> its index in orderings
-    orderings = []  # per-axis patterns as Orderings over names
-    decided = {}  # the axes' pattern indices -> (status, sign)
-    for index in combinations(range(len(cloud.labels)), size):
-        pick = itemgetter(*index)
-        key = []
-        for column in columns:
-            ranks = _renumber(pick(column))
-            k = ids.get(ranks)
-            if k is None:
-                k = ids[ranks] = len(orderings)
-                orderings.append(_axis_ordering(names, ranks))
-            key.append(k)
-        key = tuple(key)
-        hit = decided.get(key)
-        if hit is None:
-            verdict = decide(Configuration(names, cloud.axes, tuple(orderings[k] for k in key)))
-            hit = decided[key] = (verdict.status, verdict.sign)
-        yield SubsetResult._scanned(pick(cloud.labels), *hit, cloud)
+def json_lines(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[str]:
+    """What ``simplexfix scan --format json`` prints, line by line: the
+    ``json.dumps(obj, sort_keys=True)`` of each object of
+    ``json_objects(iter_scan(cloud, jitter_seed), jitter_seed)``.
+
+    Each line is a prefix rendered once per distinct pattern, holding the
+    ``sign`` and ``status`` keys that sort before ``subset``, then the
+    subset's labels, each JSON-escaped once per point.  Raises as
+    :func:`iter_scan` does, before yielding a line.
+    """
+    source = _source(cloud, jitter_seed)
+    escaped = {lab: json.dumps(lab) for lab in source.labels}
+    heads = {}  # (status, sign) -> (line prefix, status name)
+
+    def head(verdict: FixityVerdict) -> tuple:
+        key = verdict.status, verdict.sign
+        if key not in heads:
+            obj = {"status": verdict.status.value}
+            if verdict.sign is not None:
+                obj["sign"] = str(verdict.sign)
+            # "subset" sorts after "sign" and "status": it ends the object
+            heads[key] = json.dumps(obj, sort_keys=True)[:-1] + ', "subset": [', obj["status"]
+        return heads[key]
+
+    def lines():
+        counts = _counts(())
+        for labels, (text, status) in _scan(source, head):
+            counts[status] += 1
+            yield text + ", ".join(map(escaped.__getitem__, labels)) + "]}"
+        yield json.dumps({"summary": _summary(counts, jitter_seed)}, sort_keys=True)
+
+    return lines()
 
 
 def scan(cloud: PointCloud, threads: int = 1, jitter_seed: int | None = None) -> ScanReport:

@@ -1,5 +1,7 @@
 """Point clouds, derived configurations, and the subset scan."""
 
+import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from simplexfix import (
     InputFormatError,
+    Ordering,
     PointAssignment,
     PointCloud,
     Status,
@@ -17,7 +20,7 @@ from simplexfix import (
     satisfies,
     scan,
 )
-from simplexfix import landmark
+from simplexfix import engine, landmark
 from simplexfix.cli import main
 from simplexfix.landmark import jitter
 from scan_reference import grid_cloud_csv, reference_scan_output
@@ -254,6 +257,100 @@ def test_scan_decides_each_distinct_pattern_once(monkeypatch):
     report = scan(cloud)
     assert len(report.results) == 210
     assert len(calls) == len(patterns) < 210
+
+
+def test_scan_computes_first_extension_and_filters_once_per_weak_order(monkeypatch):
+    cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=3))
+    firsts, filters = Counter(), Counter()
+    real_first, real_filters, real_decide = Ordering.first_extension, engine._filters, landmark.decide
+
+    def first_extension(self):
+        firsts[self.labels, self.pairs] += 1
+        return real_first(self)
+
+    def counted_filters(seq, pairs):
+        pairs = frozenset(pairs)
+        filters[seq, pairs] += 1
+        return real_filters(seq, pairs)
+
+    partial_axes = []  # every axis ordering of every partial pattern decided
+
+    def decide(cfg):
+        if not cfg.is_linear():
+            partial_axes.extend(cfg.orders)
+        return real_decide(cfg)
+
+    monkeypatch.setattr(Ordering, "first_extension", first_extension)
+    monkeypatch.setattr(engine, "_filters", counted_filters)
+    monkeypatch.setattr(landmark, "decide", decide)
+    report = scan(cloud)
+    assert len(report.results) == 210
+    assert firsts and max(firsts.values()) == 1
+    assert filters and max(filters.values()) == 1
+    # the patterns share their weak orders: far fewer computations than uses
+    assert len(firsts) == len({(o.labels, o.pairs) for o in partial_axes}) < len(partial_axes) / 4
+
+
+def awkward_labels_csv() -> str:
+    """A 3D cloud with ties whose labels need JSON escaping: a quoted one
+    holding a comma and a double quote, a backslash, non-ASCII text."""
+    rows = [
+        ("plain", 0, 1, 2),
+        ('"comma, and ""quote"""', 1, 1, 0),
+        ("back\\slash", 2, 0, 2),
+        ("\u00c5ngstr\u00f6m", 0, 2, 1),
+        ("\u70b9", 3, 0, 0),
+        ("tab\\t", 1, 2, 2),
+    ]
+    return "label,x,y,z\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def test_json_lines_equal_json_dumps_of_the_objects(tmp_path, capsys):
+    text = awkward_labels_csv()
+    path = tmp_path / "awkward.csv"
+    path.write_text(text, encoding="utf-8")
+    cloud = PointCloud.from_csv(text)
+    assert 'comma, and "quote"' in cloud.labels and "back\\slash" in cloud.labels
+    for jitter_seed in (None, 7):
+        extra = () if jitter_seed is None else ("--jitter", str(jitter_seed))
+        out = scan_cli(capsys, path, "--format", "json", *extra)
+        objects = landmark.json_objects(landmark.iter_scan(cloud, jitter_seed), jitter_seed)
+        want = [json.dumps(obj, sort_keys=True) for obj in objects]
+        assert out.splitlines() == want
+        assert out == reference_scan_output(cloud, "json", jitter_seed)
+        assert '\\"quote\\"' in out and "back\\\\slash" in out and "\\u00c5" in out
+        assert json.loads(out.splitlines()[-1]) == {"summary": scan(cloud, jitter_seed=jitter_seed).summary()}
+
+
+def with_tied_axis(text: str, axis: int) -> str:
+    """The cloud of ``text`` with every point at 0 on axis number ``axis``."""
+    header, *rows = text.splitlines()
+    out = [header]
+    for row in rows:
+        cells = row.split(",")
+        cells[axis + 1] = "0"
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_scan_matches_reference_in_every_dimension(dimension, tmp_path, capsys):
+    grid = grid_cloud_csv(dimension, points=8, grid=3, dimension=dimension)
+    clouds = {
+        "grid": grid,
+        "tied": with_tied_axis(grid, dimension - 1),
+        "minimal": grid_cloud_csv(dimension, points=dimension + 1, grid=2, dimension=dimension),
+    }
+    for name, text in clouds.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        cloud = PointCloud.from_csv(text)
+        assert cloud.dimension == dimension
+        for jitter_seed in (None, 5):
+            extra = () if jitter_seed is None else ("--jitter", str(jitter_seed))
+            for fmt in ("json", "text"):
+                out = scan_cli(capsys, path, "--format", fmt, *extra)
+                assert out == reference_scan_output(cloud, fmt, jitter_seed), (name, jitter_seed, fmt)
 
 
 def test_scan_results_derive_their_own_configuration_and_verdict(cloud_csv_path):

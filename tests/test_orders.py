@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from simplexfix import (
 )
 from simplexfix.engine import _det_value
 from simplexfix.orders import _det_int, _det_sign_int
-from conftest import subset_13710_extension, subset_15910
+from conftest import seeded_partials, subset_13710_extension, subset_15910
 
 LABELS3 = ("A", "B", "C")
 
@@ -155,6 +156,41 @@ def test_configuration_extension_counts():
     assert oracle == 16
     assert extension_count(cfg) == 16
     assert len(list(configuration_extensions(cfg))) == 16
+
+
+def every_ordering(n):
+    """Every strict partial order on ``n`` labels: each set of ordered
+    pairs that is irreflexive, antisymmetric and transitive."""
+    labels = tuple("ABCD"[:n])
+    candidates = [(e, f) for e in labels for f in labels if e != f]
+    for keep in product((False, True), repeat=len(candidates)):
+        pairs = {pair for pair, k in zip(candidates, keep) if k}
+        if any((f, e) in pairs for e, f in pairs):
+            continue
+        if all((e, h) in pairs for e, f in pairs for g, h in pairs if f == g):
+            yield Ordering(labels, frozenset(pairs))
+
+
+def test_extension_count_matches_the_listed_extensions():
+    # 1, 3, 19 and 219 labeled posets on 1 to 4 labels
+    for n, total in ((1, 1), (2, 3), (3, 19), (4, 219)):
+        orderings = list(every_ordering(n))
+        assert len(orderings) == total
+        for o in orderings:
+            assert o.extension_count() == len(o.extension_sequences())
+    rng = random.Random("extension-count")
+    for n, count in ((5, 40), (6, 20)):
+        for cfg in seeded_partials(rng, n, count):
+            listed = [len(o.extension_sequences()) for o in cfg.orders]
+            assert [o.extension_count() for o in cfg.orders] == listed
+            assert extension_count(cfg) == prod(listed)
+        for _ in range(count):  # random pair sets, not just broken chains
+            seq = rng.sample(tuple("ABCDEF"[:n]), n)
+            o = Ordering.from_pairs(
+                tuple("ABCDEF"[:n]),
+                [(seq[i], seq[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3],
+            )
+            assert o.extension_count() == len(o.extension_sequences())
 
 
 def test_satisfies_examples():

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ import pytest
 from simplexfix import (
     ConfigSign,
     Configuration,
+    PointCloud,
     Status,
     build_witness,
     decide,
@@ -23,7 +24,7 @@ from simplexfix import (
     verify_witness,
 )
 from conftest import N4_LABELS, XYZ
-from scan_reference import grid_cloud_csv
+from scan_reference import grid_cloud_csv, reference_scan_lines
 
 TESTS = Path(__file__).resolve().parent
 
@@ -110,3 +111,23 @@ def test_thirty_point_scan_streams_the_reference_in_less_memory(tmp_path):
     print(f"scan {scan_s:.2f} s, peak {streamed_kb} KiB; reference peak {held_kb} KiB")
     assert (tmp_path / "scan.out").read_bytes() == (tmp_path / "reference.out").read_bytes()
     assert streamed_kb < held_kb
+
+
+@pytest.mark.slow
+def test_fifty_point_scan_matches_a_streaming_reference(tmp_path):
+    # 230,300 subsets: the CLI's output, written to a file, equals the
+    # per-subset reference line by line; the reference decides and renders
+    # one subset at a time, so the test holds neither side's results
+    text = grid_cloud_csv(50, points=50, grid=8)
+    path = tmp_path / "grid50.csv"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
+    with open(tmp_path / "scan.out", "wb") as out:
+        subprocess.run([sys.executable, "-m", "simplexfix.cli", "scan", str(path), "--format", "json"],
+                       stdout=out, env=env, check=True)
+    lines = 0
+    with open(tmp_path / "scan.out", encoding="utf-8") as got:
+        for want, line in zip_longest(reference_scan_lines(PointCloud.from_csv(text), "json"), got):
+            assert want is not None and line == want + "\n", lines
+            lines += 1
+    assert lines == 230_300 + 1
