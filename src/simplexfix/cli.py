@@ -8,7 +8,10 @@ arguments are file paths (``-`` for stdin) in the text or JSON format of
 Exit codes: 0 success, 1 usage error (including a configuration of more
 than ``engine.MAX_LABELS`` labels, and ``extensions`` on one of more than
 :data:`MAX_EXTENSIONS` linear extensions), 2 unparseable input (with
-``line:column`` diagnostics).  Flag defaults honor environment variables
+``line:column`` diagnostics).  When stdout's reader goes away before the
+output ends (``simplexfix scan ... | head -1``), the command stops
+quietly with exit code 1, as Python does on a broken pipe, but with no
+traceback and nothing on stderr.  Flag defaults honor environment variables
 ``SIMPLEXFIX_FORMAT``, ``SIMPLEXFIX_SEED``, ``SIMPLEXFIX_SAMPLES`` and
 ``SIMPLEXFIX_THREADS``; a malformed value is a usage error.  Identical invocations print byte-identical
 output regardless of ``--threads``.
@@ -285,12 +288,19 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except InputFormatError as exc:
         print(f"simplexfix: {exc.location()}{exc}", file=sys.stderr)
         return INPUT_ERROR
     except ValueError as exc:
         print(f"simplexfix: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # the output still buffered would fail again when Python flushes
+        # stdout at exit; send it to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
 
 

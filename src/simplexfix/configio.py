@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .orders import Configuration, Ordering, OrderingCycleError
+from .orders import Configuration, OrderingCycleError
 
 
 class InputFormatError(ValueError):
@@ -114,8 +114,7 @@ def parse_configuration_text(text: str) -> Configuration:
         if unknown:
             raise InputFormatError(f"labels {unknown!r} not in the labels header")
     try:
-        orders = tuple(Ordering.from_pairs(labels, relations[a]) for a in axes)
-        return Configuration(labels, tuple(axes), orders)
+        return Configuration.from_pairs(labels, axes, relations)
     except (OrderingCycleError, ValueError, KeyError) as exc:
         raise InputFormatError(str(exc)) from None
 
@@ -128,11 +127,7 @@ def configuration_from_json(payload: Mapping) -> Configuration:
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"missing configuration field: {exc}") from None
     try:
-        orders = tuple(
-            Ordering.from_pairs(labels, [tuple(p) for p in orders_payload.get(a, [])])
-            for a in axes
-        )
-        return Configuration(labels, axes, orders)
+        return Configuration.from_pairs(labels, axes, orders_payload)
     except (OrderingCycleError, ValueError, KeyError) as exc:
         raise InputFormatError(str(exc)) from None
 

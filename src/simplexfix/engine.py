@@ -34,7 +34,7 @@ fixed.
 Verdicts carry replayable certificates (plain dicts, JSON-ready).  The
 memo table for n >= 4 is keyed by canonical code (see
 :mod:`simplexfix.equivalence`) with the sign transported through the group
-element's parity; it holds at most 16,384 verdicts, dropping the oldest.
+element's parity; it holds the 16,384 most recently used verdicts.
 Concurrent insert-or-get races are benign because stored values are
 canonical.
 
@@ -71,13 +71,12 @@ from .orders import (
     Configuration,
     Ordering,
     PointAssignment,
-    _det_int,
     _det_sign_int,
-    _int_rows,
+    _det_value,
     det_sign,
     satisfies,
 )
-from .signs import ConfigSign, DetSign, FormalSign, fadd, fmul
+from .signs import ConfigSign, DetSign, FormalSign, fneg, formal_det_sign_2x2
 
 
 MAX_LABELS = 8
@@ -221,13 +220,9 @@ def _dim2_verdict(lin: _Lin) -> FixityVerdict:
     # in y whenever the configuration is fixed).
     mid = sx[1]
     col = lin.labels.index(mid)
-    q1, q2 = (lab for lab in lin.labels if lab != mid)
-    d1 = lin.diff(q1, mid, 0)
-    d2 = lin.diff(q2, mid, 0)
-    d3 = lin.diff(q1, mid, 1)
-    d4 = lin.diff(q2, mid, 1)
-    det2 = fadd(fmul(d1, d4), FormalSign(-(fmul(d2, d3)).value))
-    value = det2 if col % 2 == 0 else FormalSign(-det2.value)
+    others = [lab for lab in lin.labels if lab != mid]
+    det2 = formal_det_sign_2x2([[lin.diff(q, mid, a) for q in others] for a in (0, 1)])
+    value = det2 if col % 2 == 0 else fneg(det2)
     if not value.definite:
         raise InternalCheckError("dimension-2 formal determinant must be definite here")
     sign = ConfigSign(value.value)
@@ -368,9 +363,10 @@ def _walk_chain(lin: _Lin, cert: dict):
 
     Checks that every step's label is the named extreme (``"min"`` or
     ``"max"``) of the named axis, and that the chain ends at two 3-label
-    orderings in the named base relation.  Returns the (configuration,
-    label, axis index) of every step and the final configuration; raises
-    ValueError naming the first check that fails.
+    orderings in the relation of the ``dim2_non_fixed`` base it names.
+    Returns the (configuration, label, axis index) of every step and the
+    final configuration; raises ValueError naming the first check that
+    fails.
     """
     stack = []
     cur = lin
@@ -384,9 +380,9 @@ def _walk_chain(lin: _Lin, cert: dict):
             raise ValueError(f"certificate invalid: {label!r} is not the {kind} of {axis!r}")
         stack.append((cur, label, a))
         cur = cur.drop(label, a)
-    relation = cert["base"]["relation"]
-    if len(cur.labels) != 3 or _relation(*cur.seqs) != relation:
-        raise ValueError(f"certificate invalid: the chain does not end in a {relation!r} pair")
+    relation = _relation(*cur.seqs) if len(cur.labels) == 3 else None
+    if relation is None or cert["base"] != {"type": "dim2_non_fixed", "relation": relation}:
+        raise ValueError(f"certificate invalid: the chain does not end in its base {cert['base']!r}")
     return stack, cur
 
 
@@ -699,14 +695,14 @@ def _crosscheck_dim3(lin: _Lin) -> FixityVerdict:
 # ---------------------------------------------------------------------------
 # the decider
 
-#: verdicts kept, by canonical code; the oldest entry goes first once the
-#: bound is reached, so a long run of distinct inputs keeps memory flat
+#: verdicts kept, by canonical code; the least recently used goes first
+#: once the bound is reached, so a long run of distinct inputs keeps
+#: memory flat
 _MEMO_SIZE = 1 << 14
-_MEMO: dict = {}
 
 
 def clear_memo() -> None:
-    _MEMO.clear()
+    _decide_class.cache_clear()
 
 
 def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
@@ -721,37 +717,10 @@ def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
         return _dim2_verdict(lin)
     if debug_crosscheck and n == 4:
         return _crosscheck_dim3(lin)
-    return _decide_memoized(lin)
-
-
-def _decide_memoized(lin: _Lin) -> FixityVerdict:
-    """Decide a linear configuration of four or more labels by deciding
-    its canonical representative once and transporting the verdict."""
-    n = len(lin.labels)
+    # four or more labels: decide the canonical representative once and
+    # transport its verdict
     canon, g, parity = equivalence.canonical(equivalence.encode(lin.labels, lin.seqs), n)
-    hit = _MEMO.get(canon)
-    if hit is None:
-        labels = equivalence.default_labels(n)
-        rep = _Lin(labels, equivalence.default_axes(n - 1), equivalence.decode(canon, labels))
-        if n == 4:
-            verdict = _dim3_verdict(rep)
-        else:
-            # lemma and expansion are sound for opposite answers, so at most
-            # one succeeds; the lemma is cheap and decides most inputs
-            verdict = _lemma_verdict(rep)
-            if verdict.status is Status.UNKNOWN:
-                verdict = _expansion_verdict(rep)
-            if verdict.status is Status.UNKNOWN:
-                verdict = _ray_verdict(rep, _chain_filters(rep))
-        rep_payload = {
-            "labels": list(rep.labels),
-            "axes": list(rep.axes),
-            "sequences": [list(seq) for seq in rep.seqs],
-        }
-        if len(_MEMO) >= _MEMO_SIZE:
-            _MEMO.pop(next(iter(_MEMO)), None)
-        hit = _MEMO[canon] = (verdict, rep_payload)
-    verdict, rep_payload = hit
+    verdict, rep_payload = _decide_class(canon, n)
     cert = {
         "type": "equivalent",
         "axis_source": list(g.axis_source),
@@ -762,6 +731,30 @@ def _decide_memoized(lin: _Lin) -> FixityVerdict:
         "inner": verdict.certificate,
     }
     return FixityVerdict(verdict.status, ConfigSign(parity.value * verdict.sign.value), cert)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _decide_class(canon: bytes, n: int) -> tuple:
+    """(verdict, representative payload) of the class of ``n >= 4``
+    labels whose canonical code is ``canon``."""
+    labels = equivalence.default_labels(n)
+    rep = _Lin(labels, equivalence.default_axes(n - 1), equivalence.decode(canon, labels))
+    if n == 4:
+        verdict = _dim3_verdict(rep)
+    else:
+        # lemma and expansion are sound for opposite answers, so at most
+        # one succeeds; the lemma is cheap and decides most inputs
+        verdict = _lemma_verdict(rep)
+        if verdict.status is Status.UNKNOWN:
+            verdict = _expansion_verdict(rep)
+        if verdict.status is Status.UNKNOWN:
+            verdict = _ray_verdict(rep, _chain_filters(rep))
+    rep_payload = {
+        "labels": list(rep.labels),
+        "axes": list(rep.axes),
+        "sequences": [list(seq) for seq in rep.seqs],
+    }
+    return verdict, rep_payload
 
 
 def decide(
@@ -801,19 +794,6 @@ def decide(
 
 # ---------------------------------------------------------------------------
 # witness construction
-
-
-def _det_value(cfg_labels, cfg_axes, values: Mapping) -> Fraction:
-    """Exact determinant of rational values: denominators cleared row-wise,
-    the integer determinant divided by the product of the row scales."""
-    first = cfg_labels[0]
-    rows, scale = _int_rows(
-        [
-            [values[(lab, axis)] - values[(first, axis)] for lab in cfg_labels[1:]]
-            for axis in cfg_axes
-        ]
-    )
-    return Fraction(_det_int(rows), scale)
 
 
 def _witness_dim2_values(lin: _Lin):
@@ -940,7 +920,7 @@ def _ray_witness(cfg, gens: Sequence, cert: dict):
                 for axis, count, up in zip(cfg.axes, counts, ups)
                 for lab in cfg.labels
             }
-            if _det_sign_of_values(cfg, values) == want:
+            if _det_value(cfg.labels, cfg.axes, values) * want > 0:
                 break
             if t > bound:
                 raise InternalCheckError("ray witness sign does not hold past the Cauchy bound")
@@ -1104,7 +1084,7 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         if len(lin.labels) > 3:
             return False
         fresh = _decide_lin(lin)
-        return fresh.status is status and fresh.sign is sign and fresh.certificate["type"] == kind
+        return fresh.status is status and fresh.sign is sign and fresh.certificate == cert
     if kind == "expansion":
         e_i, e_j = cert["pivot"]
         terms = cert["terms"]
@@ -1141,9 +1121,12 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         if unwrapped is None:
             return False
         g, rep = unwrapped
+        parity = equivalence.sign_parity(g)
+        if cert["parity"] != str(parity):
+            return False
         inner_sign = None
         if status is Status.FIXED:
-            inner_sign = ConfigSign(equivalence.sign_parity(g).value * sign.value)
+            inner_sign = ConfigSign(parity.value * sign.value)
         elif status is Status.NON_FIXED:
             inner_sign = ConfigSign.BOTH
         return _replay_lin(rep, status, inner_sign, cert["inner"])
@@ -1166,41 +1149,21 @@ def replay_certificate(cfg: Configuration, verdict: FixityVerdict) -> bool:
 # sampling oracle
 
 _CHUNK = 512
-_BUCKET = {1: "pos", -1: "neg", 0: "zero"}
+_BUCKET = {DetSign.POS: "pos", DetSign.NEG: "neg", DetSign.ZERO: "zero"}
 
 
 def _sample_values(cfg: Configuration, rng: random.Random) -> dict:
     """One random satisfying assignment: per axis, sorted distinct integers
-    laid onto a random linear extension of the axis ordering."""
+    laid onto a random linear extension of the axis ordering, each label
+    drawn uniformly from those free to come next."""
     values = {}
     n = cfg.n()
     for axis, ordering in zip(cfg.axes, cfg.orders):
         draws = sorted(rng.sample(range(1 << 40), n))
-        if ordering.is_linear():
-            seq = ordering.sequence()
-        else:
-            remaining = list(cfg.labels)
-            seq = []
-            while remaining:
-                candidates = [
-                    lab
-                    for lab in remaining
-                    if not any(ordering.less(o, lab) for o in remaining if o != lab)
-                ]
-                seq.append(candidates[rng.randrange(len(candidates))])
-                remaining.remove(seq[-1])
+        seq = ordering.sequence() if ordering.is_linear() else ordering._greedy_extension(rng.choice)
         for v, lab in zip(draws, seq):
             values[(lab, axis)] = v
     return values
-
-
-def _det_sign_of_values(cfg: Configuration, values: Mapping) -> int:
-    first = cfg.labels[0]
-    rows = [
-        [values[(lab, axis)] - values[(first, axis)] for lab in cfg.labels[1:]]
-        for axis in cfg.axes
-    ]
-    return _det_sign_int(rows)
 
 
 def sample_signs(cfg: Configuration, seed: int, count: int, threads: int = 1) -> dict:
@@ -1217,5 +1180,6 @@ def sample_signs(cfg: Configuration, seed: int, count: int, threads: int = 1) ->
     for chunk in range((count + _CHUNK - 1) // _CHUNK):
         rng = random.Random(f"{seed}:{chunk}")
         for _ in range(min(_CHUNK, count - chunk * _CHUNK)):
-            histogram[_BUCKET[_det_sign_of_values(cfg, _sample_values(cfg, rng))]] += 1
+            value = _det_value(cfg.labels, cfg.axes, _sample_values(cfg, rng))
+            histogram[_BUCKET[DetSign.of(value)]] += 1
     return histogram

@@ -36,52 +36,31 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .configio import InputFormatError
 from .engine import FixityVerdict, Status, check_size, decide
 from .equivalence import default_axes, default_labels
-from .orders import Configuration, Ordering, _as_fraction
+from .orders import Configuration, Ordering, PointAssignment
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Distinct labels, each with exactly one coordinate per axis."""
-
-    labels: tuple
-    axes: tuple
-    values: Mapping
+class PointCloud(PointAssignment):
+    """Distinct labels, each with exactly one coordinate per axis, and at
+    least one axis."""
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate point labels")
         if len(self.axes) < 1:
             raise ValueError("need at least one axis")
-        norm = {}
-        for lab in self.labels:
-            for axis in self.axes:
-                key = (lab, axis)
-                if key not in self.values:
-                    raise KeyError(f"missing coordinate for {key!r}")
-                norm[key] = _as_fraction(self.values[key])
-        object.__setattr__(self, "values", norm)
+        super().__post_init__()
 
     @property
     def dimension(self) -> int:
         return len(self.axes)
 
-    def value(self, label, axis) -> Fraction:
-        return self.values[(label, axis)]
-
     @classmethod
     def from_points(cls, points: Mapping, axes: Sequence | None = None) -> "PointCloud":
-        labels = tuple(points)
-        some = points[labels[0]]
+        """From a mapping label -> coordinate sequence; axes default to
+        ``x, y, z, ...``."""
         if axes is None:
-            axes = default_axes(len(some))
-        axes = tuple(axes)
-        values = {}
-        for lab in labels:
-            coords = points[lab]
-            if len(coords) != len(axes):
-                raise ValueError(f"point {lab!r} has {len(coords)} coordinates, expected {len(axes)}")
-            values.update({(lab, a): v for a, v in zip(axes, coords)})
-        return cls(labels, axes, values)
+            axes = default_axes(len(next(iter(points.values()))))
+        return super().from_points(points, axes)
 
     @classmethod
     def from_csv(cls, source) -> "PointCloud":
@@ -285,10 +264,6 @@ class ScanReport:
     def to_json_objects(self) -> list:
         """One object per subset plus a trailing summary object."""
         return list(json_objects(self.results, self.jitter_seed))
-
-    def to_text(self) -> str:
-        width = max((len(" ".join(map(str, r.labels))) for r in self.results), default=6)
-        return "\n".join(text_lines(self.results, width, self.jitter_seed))
 
 
 def _axis_ranks(cloud: PointCloud) -> list:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .signs import DetSign
@@ -157,10 +158,10 @@ class Ordering:
         extend((), self.labels)
         return out
 
-    def first_extension(self) -> tuple:
-        """``extension_sequences()[0]`` without the others: repeatedly the
-        first remaining label, in label order, with no remaining
-        predecessor."""
+    def _greedy_extension(self, pick) -> tuple:
+        """A linear extension grown one label at a time: ``pick`` chooses
+        from the remaining labels with no remaining predecessor, listed in
+        label order (never empty: the order is acyclic)."""
         below = {lab: set() for lab in self.labels}
         for e, f in self.pairs:
             below[f].add(e)
@@ -168,13 +169,17 @@ class Ordering:
         seq = []
         placed = set()
         while remaining:
-            for lab in remaining:  # some label is free: the order is acyclic
-                if below[lab] <= placed:
-                    break
+            lab = pick([lab for lab in remaining if below[lab] <= placed])
             remaining.remove(lab)
             seq.append(lab)
             placed.add(lab)
         return tuple(seq)
+
+    def first_extension(self) -> tuple:
+        """``extension_sequences()[0]`` without the others: repeatedly the
+        first remaining label, in label order, with no remaining
+        predecessor."""
+        return self._greedy_extension(itemgetter(0))
 
     def extension_count(self) -> int:
         """``len(extension_sequences())`` without listing them: the number
@@ -435,18 +440,23 @@ def _det_sign_int(rows) -> int:
     return (v > 0) - (v < 0)
 
 
-def det_sign(p: PointAssignment) -> DetSign:
-    """Exact orientation sign of the 1-padded coordinate matrix of ``p``.
+def _det_value(labels: Sequence, axes: Sequence, values: Mapping) -> Fraction:
+    """Exact determinant of the 1-padded coordinate matrix of ``values``
+    (keyed by ``(label, axis)``), columns in ``labels`` order and
+    coordinate rows in ``axes`` order.  Subtracting the first column
+    reduces it to the (n-1) x (n-1) determinant of the coordinate
+    differences; their denominators are cleared row-wise and the integer
+    determinant divided by the product of the row scales."""
+    first = labels[0]
+    rows, scale = _int_rows(
+        [[values[(lab, axis)] - values[(first, axis)] for lab in labels[1:]] for axis in axes]
+    )
+    return Fraction(_det_int(rows), scale)
 
-    Columns follow the stable label order, coordinate rows the axis order.
-    Subtracting the first column reduces the padded n x n determinant to an
-    (n-1) x (n-1) one over the coordinate differences.
-    """
+
+def det_sign(p: PointAssignment) -> DetSign:
+    """Exact orientation sign of the 1-padded coordinate matrix of ``p``:
+    columns follow the stable label order, coordinate rows the axis order."""
     if len(p.labels) != len(p.axes) + 1:
         raise ValueError("det_sign needs |labels| == |axes| + 1")
-    first = p.labels[0]
-    rows = [
-        [p.value(lab, axis) - p.value(first, axis) for lab in p.labels[1:]]
-        for axis in p.axes
-    ]
-    return DetSign(_det_sign_int(_int_rows(rows)[0]))
+    return DetSign.of(_det_value(p.labels, p.axes, p.values))

@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from scan_reference import grid_cloud_csv
 from simplexfix.cli import MAX_EXTENSIONS, main
 
 THM_FIXED = "x: A < B < C\ny: B < C < A\n"
@@ -227,3 +232,21 @@ def test_json_configuration_input(tmp_path, capsys):
     path = write(tmp_path, "cfg.json", json.dumps(payload))
     code, out, _ = run(capsys, "decide", path)
     assert code == 0 and out == "fixed +\n"
+
+
+def test_scan_stops_quietly_when_the_reader_goes_away(tmp_path):
+    # `simplexfix scan ... | head -1`: the reader closes the pipe after one
+    # line of a 30-point scan (27,405 lines, far more than a pipe buffers)
+    path = write(tmp_path, "cloud30.csv", grid_cloud_csv(30, 30, 8))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simplexfix.cli", "scan", path, "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first["subset"] == ["pqq0", "pqqq1", "pqq2", "pqq3"]
+    assert proc.returncode == 1
+    assert err == b""

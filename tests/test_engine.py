@@ -347,6 +347,100 @@ def test_replay_checks_every_expansion_term(field):
         assert not replay_certificate(cfg, edited), k
 
 
+#: every value each claim field of a certificate can take
+CLAIM_ALPHABETS = {
+    "sign": ("+", "-", "+-", "?"),
+    "parity": ("+", "-"),
+    "relation": ("equal", "reversed"),
+    "middle": tuple("ABCDE") + ("1", "2", "3"),
+    "extreme": ("min", "max"),
+    "diff": ("+", "-", "?"),
+    "child_status": ("fixed", "non_fixed", "unknown"),
+    "child_sign": ("+", "-", "+-", None),
+}
+
+
+def _claims(cert, path=()):
+    """``(path, field)`` of every claim field in a certificate, at any
+    depth."""
+    if isinstance(cert, dict):
+        for key, value in cert.items():
+            if key in CLAIM_ALPHABETS:
+                yield path, key
+            yield from _claims(value, path + (key,))
+    elif isinstance(cert, list):
+        for k, value in enumerate(cert):
+            yield from _claims(value, path + (k,))
+
+
+def _at(cert, path):
+    for key in path:
+        cert = cert[key]
+    return cert
+
+
+def _claim_case(case):
+    """A configuration whose verdict has the named certificate kind, and
+    the claim fields that certificate holds."""
+    return {
+        "dim1": (Configuration.from_sequences(("A", "B"), ("x",), (("A", "B"),)), {"sign"}),
+        "dim2_fixed": (linear3("ABC", "BCA"), {"middle", "sign"}),
+        "dim2_non_fixed": (linear3("ABC", "CBA"), {"relation"}),
+        "n4_expansion": (
+            fixed_n4_configs()[0],
+            {"parity", "diff", "child_status", "child_sign", "sign", "middle"},
+        ),
+        "n4_extreme_lemma": (
+            Configuration.from_sequences(N4_LABELS, XYZ, (N4_LABELS,) * 3),
+            {"parity", "extreme", "relation"},
+        ),
+        "ray_pair": (README5, {"parity"}),
+        "ray_all": (FRONTIER5, {"parity", "sign"}),
+        "partial_extension": (subset_13710(), {"parity", "extreme", "relation"}),
+        "partial_ray_pair": (partial_n3_quartet()[1], set()),
+        "partial_ray_all": (subset_2589(), {"sign"}),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "dim1", "dim2_fixed", "dim2_non_fixed", "n4_expansion", "n4_extreme_lemma",
+        "ray_pair", "ray_all", "partial_extension", "partial_ray_pair", "partial_ray_all",
+    ],
+)
+def test_replay_checks_every_claim_field(case):
+    # every claim a certificate makes, at any depth, is re-derived: any
+    # other value of a sign, parity, relation, middle, extreme, diff,
+    # child status or child sign field fails replay
+    cfg, fields = _claim_case(case)
+    verdict = decide(cfg)
+    assert replay_certificate(cfg, verdict)
+    claims = list(_claims(verdict.certificate))
+    assert {field for _, field in claims} == fields
+    for path, field in claims:
+        for value in CLAIM_ALPHABETS[field]:
+            if value == _at(verdict.certificate, path)[field]:
+                continue
+            bad = tampered(verdict, lambda c: _at(c, path).__setitem__(field, value))
+            try:
+                assert not replay_certificate(cfg, bad), (path, field, value)
+            except ValueError:
+                pass
+
+
+def test_replay_checks_the_base_of_an_extreme_chain():
+    cfg = Configuration.from_sequences(N4_LABELS, XYZ, (N4_LABELS,) * 3)
+    lemma = non_fixed_by_extreme_lemma(cfg)
+    assert replay_certificate(cfg, lemma)
+    base = tampered(lemma, lambda c: c["base"].update(type="dim2_fixed"))
+    assert not replay_certificate(cfg, base)
+    verdict = decide(cfg)
+    assert verdict.certificate["inner"]["type"] == "extreme_lemma"
+    inner = tampered(verdict, lambda c: c["inner"]["base"].update(type="dim2_fixed"))
+    assert not replay_certificate(cfg, inner)
+
+
 def _ray_reference(labels, gens):
     """First tuple of each nonzero determinant sign, one determinant
     (integer Bareiss) per tuple."""
@@ -624,6 +718,8 @@ def test_replay_refuses_malformed_representatives(edit):
 
 
 def test_memo_is_bounded_and_eviction_keeps_verdicts(monkeypatch):
+    from functools import lru_cache
+
     from simplexfix import engine
 
     labels = ("A", "B", "C", "D", "E")
@@ -633,16 +729,16 @@ def test_memo_is_bounded_and_eviction_keeps_verdicts(monkeypatch):
         Configuration.from_sequences(labels, axes, [tuple(rng.sample(labels, 5)) for _ in axes])
         for _ in range(40)
     ]
-    assert engine._MEMO_SIZE == 1 << 14
+    assert engine._decide_class.cache_info().maxsize == engine._MEMO_SIZE == 1 << 14
     engine.clear_memo()
     reference = [decide(cfg).to_json() for cfg in cfgs]
-    assert len(engine._MEMO) > 8
-    monkeypatch.setattr(engine, "_MEMO_SIZE", 8)
-    engine.clear_memo()
+    assert engine._decide_class.cache_info().currsize > 8
+    capped = lru_cache(maxsize=8)(engine._decide_class.__wrapped__)
+    monkeypatch.setattr(engine, "_decide_class", capped)
     for _ in range(2):  # the second pass decides many evicted classes again
         for cfg, want in zip(cfgs, reference):
             assert decide(cfg).to_json() == want
-            assert len(engine._MEMO) <= 8
+            assert capped.cache_info().currsize <= 8
     engine.clear_memo()
 
 
@@ -728,6 +824,12 @@ def test_sample_signs_determinism_and_threads():
     assert one == four
     assert sum(one.values()) == 1000
     assert sample_signs(cfg, 124, 1000) != one or True  # different seed may differ
+
+
+def test_partial_sampling_draws_are_pinned():
+    # each axis's random extension draws one label at a time from those
+    # free to come next; these counts pin the sequence of draws
+    assert sample_signs(subset_13710(), 7, 1000) == {"pos": 190, "neg": 810, "zero": 0}
 
 
 def test_sampling_both_signs_on_non_fixed():

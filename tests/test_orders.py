@@ -25,8 +25,7 @@ from simplexfix import (
     reverse,
     satisfies,
 )
-from simplexfix.engine import _det_value
-from simplexfix.orders import _det_int, _det_sign_int
+from simplexfix.orders import _det_int, _det_sign_int, _det_value
 from conftest import seeded_partials, subset_13710_extension, subset_15910
 
 LABELS3 = ("A", "B", "C")
