@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping
+from typing import Hashable, Mapping
 
 from .orders import Configuration, OrderingCycleError
 
@@ -120,12 +120,25 @@ def parse_configuration_text(text: str) -> Configuration:
 
 
 def configuration_from_json(payload: Mapping) -> Configuration:
+    """The configuration of the JSON mirror; InputFormatError names the
+    first field that is missing or of the wrong shape."""
     try:
         labels = tuple(payload["labels"])
         axes = tuple(payload["axes"])
         orders_payload = payload.get("orders", {})
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"missing configuration field: {exc}") from None
+    if not isinstance(orders_payload, Mapping):
+        raise InputFormatError("'orders' must map each axis to a list of label pairs")
+    named = [*labels, *axes]
+    for axis, pairs in orders_payload.items():
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
+        ):
+            raise InputFormatError(f"orders of axis {axis!r} must be a list of label pairs")
+        named += [lab for pair in pairs for lab in pair]
+    if not all(isinstance(name, Hashable) for name in named):
+        raise InputFormatError("labels and axes must be strings or numbers, not arrays or objects")
     try:
         return Configuration.from_pairs(labels, axes, orders_payload)
     except (OrderingCycleError, ValueError, KeyError) as exc:

@@ -45,9 +45,9 @@ and for partial input the first extension and the filters read off its
 pairs.  One dispatch (``_decide_lin``) decides inputs, expansion
 children, representatives and first extensions; one walker
 (``_walk_chain``) follows and checks extreme-removal chains for witnesses
-and replay; one ray pass (``_ray_search``) serves chains and partial
-orders; replay compares codes under the group action and checks an
-extension by positions, building no orderings.
+and replay; one ray pass (``_ray_pass``) serves chains, partial orders
+and the landmark scan's patterns; replay compares codes under the group
+action and checks an extension by positions, building no orderings.
 
 Configurations of more than :data:`MAX_LABELS` labels are refused with a
 ValueError: the ray criterion has ``(n-1)^(n-1)`` tuples on linear input
@@ -69,7 +69,6 @@ from typing import Iterable, Mapping, Sequence
 from . import equivalence
 from .orders import (
     Configuration,
-    Ordering,
     PointAssignment,
     _det_sign_int,
     _det_value,
@@ -450,28 +449,22 @@ def _chain_filters(lin: _Lin) -> list:
     return [_filters(seq, zip(seq, seq[1:])) for seq in lin.seqs]
 
 
-def _axis_parts(o: Ordering) -> list:
-    """``[first extension, filters]`` of an axis ordering, the filters
-    listed once the ray pass first needs them.  An Ordering is immutable,
-    so both are kept on the instance, as ``functools.cached_property``
-    keeps its values: an ordering that many inputs share (a scan's weak
-    orders) computes each once, and they go when the ordering does."""
-    parts = o.__dict__.get("_ray_parts")
-    if parts is None:
-        parts = o.__dict__["_ray_parts"] = [o.first_extension(), None]
-    return parts
-
-
 def _partial_filters(cfg: Configuration) -> list:
     """Per axis, the filters of a configuration's orderings, listed in
     the order of the first extension."""
-    out = []
-    for o in cfg.orders:
-        parts = _axis_parts(o)
-        if parts[1] is None:
-            parts[1] = _filters(parts[0], o.pairs)
-        out.append(parts[1])
-    return out
+    return [_filters(o.first_extension(), o.pairs) for o in cfg.orders]
+
+
+def _ray_steps(labels: tuple, axis_gens: Sequence) -> list:
+    """Per generator of one axis, in order, ``(entering, leaving)``: the
+    columns (positions in ``labels``) of the labels it holds that the
+    generator before it (none for the first) does not, and the reverse.
+    One label enters per step for a chain's suffixes in size order."""
+    column = {lab: i for i, lab in enumerate(labels)}
+    return [
+        ([column[lab] for lab in gen if lab not in prev], [column[lab] for lab in prev if lab not in gen])
+        for prev, gen in zip([(), *axis_gens], axis_gens)
+    ]
 
 
 def _ray_search(labels: tuple, gens: Sequence) -> dict:
@@ -479,30 +472,22 @@ def _ray_search(labels: tuple, gens: Sequence) -> dict:
 
     ``gens[a]`` lists axis ``a``'s generators as label tuples, the
     indicator vectors of its filters; a tuple is its list of generator
-    indices, and tuples are visited in lexicographic order.  The minors of
-    each prefix (the padding row of ones, then one row per axis so far)
-    are shared by every tuple extending it, and stepping an axis to its
-    next generator updates only the minors on column sets holding a label
-    that enters or leaves: one label for a chain's suffixes in size
-    order.  Returns ``{sign: indices}`` for the first tuple of each
-    nonzero sign met, stopping as soon as both are.
+    indices, and tuples are visited in lexicographic order.  Returns
+    ``{sign: indices}`` for the first tuple of each nonzero sign met,
+    stopping as soon as both are; see :func:`_ray_pass`.
     """
-    n = len(labels)
-    column = {lab: i for i, lab in enumerate(labels)}
+    return _ray_pass(len(labels), [_ray_steps(labels, axis_gens) for axis_gens in gens])
+
+
+def _ray_pass(n: int, steps: Sequence) -> dict:
+    """:func:`_ray_search` over per-axis :func:`_ray_steps` of ``n``
+    columns.  The minors of each prefix (the padding row of ones, then
+    one row per axis so far) are shared by every tuple extending it, and
+    stepping an axis to its next generator updates only the minors on
+    column sets holding a column that enters or leaves.  A prefix whose
+    minors all vanish has dependent rows, so no tuple extending it is
+    visited."""
     plans = _wedge_plans(n)
-    steps = []  # per axis and generator: the columns entering, then leaving
-    for axis_gens in gens:
-        prev = ()
-        axis_steps = []
-        for gen in axis_gens:
-            axis_steps.append(
-                (
-                    [column[lab] for lab in gen if lab not in prev],
-                    [column[lab] for lab in prev if lab not in gen],
-                )
-            )
-            prev = gen
-        steps.append(axis_steps)
     chosen = [0] * (n - 1)
     found = {}
 
@@ -518,7 +503,7 @@ def _ray_search(labels: tuple, gens: Sequence) -> dict:
                     cur[i] -= sign * prev[p]
             chosen[level] = k
             if level + 2 < n:
-                if extend(level + 1, cur):
+                if any(cur) and extend(level + 1, cur):
                     return True
             elif cur[0]:
                 d = 1 if cur[0] > 0 else -1
@@ -772,15 +757,13 @@ def decide(
     region lies inside the input's.  Otherwise the ray criterion runs over
     each axis's filters, its proper nonempty up-sets, whose indicator
     vectors generate the axis's satisfying coordinates as they do for a
-    chain.  Both the first extension and the filters are kept on each
-    ordering, so inputs sharing orderings compute them once.  Every
-    verdict is FIXED or NON_FIXED; ``frontier_samples`` has no effect.
-    Raises ValueError above :data:`MAX_LABELS` labels.
+    chain.  Every verdict is FIXED or NON_FIXED; ``frontier_samples`` has
+    no effect.  Raises ValueError above :data:`MAX_LABELS` labels.
     """
     check_size(cfg.n())
     if cfg.is_linear():
         return _decide_lin(_Lin.of(cfg), debug_crosscheck)
-    first = _Lin(cfg.labels, cfg.axes, tuple(_axis_parts(o)[0] for o in cfg.orders))
+    first = _Lin(cfg.labels, cfg.axes, tuple(o.first_extension() for o in cfg.orders))
     verdict = _decide_lin(first, debug_crosscheck)
     if verdict.status is Status.NON_FIXED:
         cert = {

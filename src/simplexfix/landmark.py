@@ -7,9 +7,9 @@ summary counts.  Its work is done once per pair of points, per weak
 order or per distinct pattern, not once per subset (see
 :func:`iter_scan`): every pair of points is compared on every axis
 before the subset loop, each subset's pattern key is summed from those
-comparisons as the nested index loops choose its points, ``decide`` runs
-once per distinct pattern, and the first extension and filters of each
-per-axis weak order are computed once.  It streams: the CLI writes each
+comparisons as the nested index loops choose its points, the ray pass
+over filters runs once per distinct pattern, and the filters of each
+per-axis weak order are listed once.  It streams: the CLI writes each
 line as soon as its subset is decided, from a prefix rendered once per
 status and sign and labels JSON-escaped once per point
 (:func:`json_lines`), and the summary from running counts.  It runs in
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -34,9 +35,11 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .configio import InputFormatError
-from .engine import FixityVerdict, Status, check_size, decide
+from .engine import FixityVerdict, InternalCheckError, Status, check_size, decide
+from .engine import _filters, _ray_pass, _ray_steps
 from .equivalence import default_axes, default_labels
 from .orders import Configuration, Ordering, PointAssignment
+from .signs import ConfigSign
 
 
 class PointCloud(PointAssignment):
@@ -266,17 +269,6 @@ class ScanReport:
         return list(json_objects(self.results, self.jitter_seed))
 
 
-def _axis_ranks(cloud: PointCloud) -> list:
-    """Per axis, every point's rank among the axis's distinct values, in
-    label order: exact, and tied coordinates share a rank."""
-    out = []
-    for axis in cloud.axes:
-        column = [cloud.value(lab, axis) for lab in cloud.labels]
-        rank = {v: i for i, v in enumerate(sorted(set(column)))}
-        out.append([rank[v] for v in column])
-    return out
-
-
 def _pair_codes(cloud: PointCloud) -> list:
     """``codes[p][q]`` for points ``p < q`` in label order: the sum over
     axes ``a`` of ``3**(a * pairs)`` times 0, 1 or 2 as point ``p`` lies
@@ -285,7 +277,12 @@ def _pair_codes(cloud: PointCloud) -> list:
     n = len(cloud.labels)
     pairs = comb(cloud.dimension + 1, 2)
     codes = [[0] * n for _ in range(n)]
-    for a, column in enumerate(_axis_ranks(cloud)):
+    for a, axis in enumerate(cloud.axes):
+        # each point's rank among the axis's distinct values: exact, and
+        # tied coordinates share a rank
+        values = [cloud.value(lab, axis) for lab in cloud.labels]
+        rank = {v: i for i, v in enumerate(sorted(set(values)))}
+        column = [rank[v] for v in values]
         weight = 3 ** (a * pairs)
         for p, x in enumerate(column):
             row = codes[p]
@@ -322,36 +319,45 @@ def _prefixes(labels: tuple, terms: list, size: int) -> Iterator[tuple]:
 
 
 def _scan(cloud: PointCloud, outcome) -> Iterator[tuple]:
-    """``(labels, outcome(verdict))`` per subset, the outcome computed once
-    per distinct pattern; see :func:`iter_scan`."""
+    """``(labels, outcome(status, sign))`` per subset, the status and sign
+    found once per distinct pattern and each outcome made once per sign;
+    see :func:`iter_scan`."""
     size = cloud.dimension + 1
     names = default_labels(size)
     positions = [(s, t) for t in range(1, size) for s in range(t)]
     pairs = [(names[s], names[t]) for s, t in positions]
+    radix = 3 ** len(pairs)
     # a subset's pattern key: the sum over its pairs k of 3**k times the
-    # pair's code, so axis a's code is its base-3**len(pairs) digit a, and
-    # that code's ternary digit k compares pair k on axis a
+    # pair's code, so axis a's code is its base-radix digit a, and that
+    # code's ternary digit k compares pair k on axis a
     codes = _pair_codes(cloud)
     terms = [[None] * size for _ in range(size)]
     for k, (s, t) in enumerate(positions):
         terms[s][t] = [[code * 3**k for code in row] for row in codes]
-    orderings = {}  # per-axis code -> its Ordering over names
+    axis_steps = {}  # per-axis code -> the ray steps of its weak order's filters
+    outcomes = {s: outcome(Status.FIXED if s.value else Status.NON_FIXED, s) for s in ConfigSign}
     decided = {}  # pattern key -> outcome
 
-    def configuration(key: int) -> Configuration:
-        orders = []
+    def judge(key: int):
+        per_axis = []
         for _ in cloud.axes:
-            key, code = divmod(key, 3 ** len(pairs))
-            o = orderings.get(code)
-            if o is None:
+            key, code = divmod(key, radix)
+            if code not in axis_steps:
                 below, rest = [], code
                 for pair in pairs:
                     rest, c = divmod(rest, 3)
                     if c != 1:
                         below.append(pair if c == 0 else pair[::-1])
-                o = orderings[code] = Ordering(names, frozenset(below))
-            orders.append(o)
-        return Configuration(names, cloud.axes, tuple(orders))
+                # the weak order's first extension: by the number of points
+                # below, ties in label order
+                under = Counter(f for _, f in below)
+                first = tuple(sorted(names, key=under.__getitem__))
+                axis_steps[code] = _ray_steps(names, _filters(first, below))
+            per_axis.append(axis_steps[code])
+        found = _ray_pass(size, per_axis)
+        if not found:
+            raise InternalCheckError("the satisfying region is open, so some ray determinant is nonzero")
+        return outcomes[ConfigSign(sum(found))]  # the two signs sum to BOTH's value, 0
 
     labels = cloud.labels
     for chosen, prefix_key, row, start in _prefixes(labels, terms, size):
@@ -359,7 +365,7 @@ def _scan(cloud: PointCloud, outcome) -> Iterator[tuple]:
             key = prefix_key + term
             hit = decided.get(key)
             if hit is None:
-                hit = decided[key] = outcome(decide(configuration(key)))
+                hit = decided[key] = judge(key)
             yield chosen + (lab,), hit
 
 
@@ -379,17 +385,18 @@ def iter_scan(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[Sub
     the first lies below, level with or above the second.  Two subsets
     with one pattern derive the same configuration up to the
     order-preserving relabeling of their points, so they share status and
-    sign: ``decide`` runs once per distinct pattern, on the configuration
-    the pattern spells over the labels ``A, B, ...``.
+    sign, found once per distinct pattern by the ray pass over filters,
+    the criterion :func:`decide` ends with: fixed with the one sign met,
+    or non-fixed when both are.  No configuration, canonical form or
+    certificate is made; a result's ``verdict`` calls ``decide`` when read.
 
     Keying compares every pair of points on every axis once, before any
     subset, and packs the comparisons into one base-3 digit per axis and
     pair.  A subset's key sums one term per pair of its points, added
     level by level as the nested index loops choose them, so the
     innermost loop adds one term per subset.  Each distinct per-axis code
-    becomes one shared ``Ordering``, a weak order on ``d+1`` points, and
-    ``decide`` computes the first extension and filters of each such
-    ordering once for all the patterns that contain it.
+    is a weak order on ``d+1`` points, whose filters and ray steps are
+    listed once for all the patterns that contain it.
 
     Raises ValueError when a subset would exceed the engine's
     ``MAX_LABELS`` labels, before listing any subset.
@@ -397,7 +404,7 @@ def iter_scan(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[Sub
     source = _source(cloud, jitter_seed)
     return (
         SubsetResult._scanned(labels, status, sign, source)
-        for labels, (status, sign) in _scan(source, lambda v: (v.status, v.sign))
+        for labels, (status, sign) in _scan(source, lambda status, sign: (status, sign))
     )
 
 
@@ -413,17 +420,11 @@ def json_lines(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[st
     """
     source = _source(cloud, jitter_seed)
     escaped = {lab: json.dumps(lab) for lab in source.labels}
-    heads = {}  # (status, sign) -> (line prefix, status name)
 
-    def head(verdict: FixityVerdict) -> tuple:
-        key = verdict.status, verdict.sign
-        if key not in heads:
-            obj = {"status": verdict.status.value}
-            if verdict.sign is not None:
-                obj["sign"] = str(verdict.sign)
-            # "subset" sorts after "sign" and "status": it ends the object
-            heads[key] = json.dumps(obj, sort_keys=True)[:-1] + ', "subset": [', obj["status"]
-        return heads[key]
+    def head(status: Status, sign: ConfigSign) -> tuple:
+        obj = {"sign": str(sign), "status": status.value}
+        # "subset" sorts after "sign" and "status": it ends the object
+        return json.dumps(obj, sort_keys=True)[:-1] + ', "subset": [', status.value
 
     def lines():
         counts = _counts(())

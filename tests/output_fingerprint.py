@@ -13,7 +13,8 @@ Families:
 * ``sample``: ``sample_signs`` histograms over seeded configurations,
   partial and linear;
 * ``scan``: ``simplexfix scan`` output, JSON and text, plain and with
-  ``--jitter``, of the shipped cloud and a seeded tie-heavy one.
+  ``--jitter``, of the shipped cloud and seeded tie-heavy ones in 2D,
+  3D and 4D.
 
 Plain module (no pytest); it runs in well under a minute.
 """
@@ -140,9 +141,15 @@ def _cli(argv: list) -> bytes:
 def scan_family() -> bytes:
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        grid = Path(tmp) / "grid.csv"
-        grid.write_text(grid_cloud_csv(3, 16, 8))
-        for path in (CLOUD_CSV, grid):
+        paths = [CLOUD_CSV]
+        for name, text in (
+            ("grid", grid_cloud_csv(3, 16, 8)),
+            ("grid2d", grid_cloud_csv(4, 20, 5, 2)),
+            ("grid4d", grid_cloud_csv(5, 14, 4, 4)),
+        ):
+            paths.append(Path(tmp) / f"{name}.csv")
+            paths[-1].write_text(text)
+        for path in paths:
             for fmt in ("json", "text"):
                 for extra in ([], ["--jitter", "7"]):
                     out.append(_cli(["scan", str(path), "--format", fmt, *extra]))

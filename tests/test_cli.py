@@ -187,6 +187,24 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == "fixed +\n"
 
 
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        ("[]", "'orders' must map each axis"),
+        ('{"x": [5]}', "orders of axis 'x' must be a list of label pairs"),
+        ('{"x": [[["A"], "B"]]}', "labels and axes must be strings or numbers"),
+    ],
+)
+def test_malformed_json_shapes_are_format_errors(capsys, monkeypatch, orders, message):
+    import io
+
+    text = '{"labels": ["A", "B"], "axes": ["x"], "orders": %s}' % orders
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "decide", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("simplexfix: ") and message in err
+
+
 def test_env_var_sets_default_format(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SIMPLEXFIX_FORMAT", "json")
     path = write(tmp_path, "fx.cfg", THM_FIXED)

@@ -22,6 +22,7 @@ from simplexfix import (
 )
 from simplexfix import engine, landmark
 from simplexfix.cli import main
+from simplexfix.equivalence import default_labels
 from simplexfix.landmark import jitter
 from scan_reference import grid_cloud_csv, reference_scan_output
 
@@ -239,56 +240,82 @@ def test_scan_output_matches_per_subset_reference(seed, tmp_path, capsys):
                 assert out == want
 
 
-def test_scan_decides_each_distinct_pattern_once(monkeypatch):
-    cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=3))
-    patterns = set()
-    for subset in combinations(cloud.labels, 4):
+def _renamed_patterns(cloud) -> list:
+    """Per subset, per axis, its derived ordering's pairs renamed to the
+    labels ``A, B, ...`` in cloud label order."""
+    names = default_labels(cloud.dimension + 1)
+    out = []
+    for subset in combinations(cloud.labels, cloud.dimension + 1):
         cfg = derive_configuration(cloud, subset)
-        index = {lab: i for i, lab in enumerate(cfg.labels)}
-        patterns.add(tuple(frozenset((index[e], index[f]) for e, f in o.pairs) for o in cfg.orders))
-    calls = []
-    real = landmark.decide
+        rename = dict(zip(cfg.labels, names))
+        out.append(tuple(frozenset((rename[e], rename[f]) for e, f in o.pairs) for o in cfg.orders))
+    return out
 
-    def counted(cfg):
-        calls.append(cfg)
-        return real(cfg)
 
-    monkeypatch.setattr(landmark, "decide", counted)
+def test_scan_runs_one_ray_search_per_distinct_pattern(monkeypatch):
+    cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=2))
+    patterns = set(_renamed_patterns(cloud))
+    searches = []
+    real = landmark._ray_pass
+
+    def counted(n, steps):
+        searches.append(steps)
+        return real(n, steps)
+
+    monkeypatch.setattr(landmark, "_ray_pass", counted)
     report = scan(cloud)
     assert len(report.results) == 210
-    assert len(calls) == len(patterns) < 210
+    assert len(searches) == len(patterns) < 210 / 2
 
 
-def test_scan_computes_first_extension_and_filters_once_per_weak_order(monkeypatch):
+def test_scan_computes_filters_and_steps_once_per_weak_order(monkeypatch):
     cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=3))
-    firsts, filters = Counter(), Counter()
-    real_first, real_filters, real_decide = Ordering.first_extension, engine._filters, landmark.decide
-
-    def first_extension(self):
-        firsts[self.labels, self.pairs] += 1
-        return real_first(self)
+    filters, steps = Counter(), Counter()
+    real_filters, real_steps = landmark._filters, landmark._ray_steps
 
     def counted_filters(seq, pairs):
         pairs = frozenset(pairs)
         filters[seq, pairs] += 1
         return real_filters(seq, pairs)
 
-    partial_axes = []  # every axis ordering of every partial pattern decided
+    def counted_steps(labels, gens):
+        steps[tuple(gens)] += 1
+        return real_steps(labels, gens)
 
-    def decide(cfg):
-        if not cfg.is_linear():
-            partial_axes.extend(cfg.orders)
-        return real_decide(cfg)
-
-    monkeypatch.setattr(Ordering, "first_extension", first_extension)
-    monkeypatch.setattr(engine, "_filters", counted_filters)
-    monkeypatch.setattr(landmark, "decide", decide)
+    monkeypatch.setattr(landmark, "_filters", counted_filters)
+    monkeypatch.setattr(landmark, "_ray_steps", counted_steps)
     report = scan(cloud)
     assert len(report.results) == 210
-    assert firsts and max(firsts.values()) == 1
-    assert filters and max(filters.values()) == 1
-    # the patterns share their weak orders: far fewer computations than uses
-    assert len(firsts) == len({(o.labels, o.pairs) for o in partial_axes}) < len(partial_axes) / 4
+    uses = [axis for pattern in _renamed_patterns(cloud) for axis in pattern]
+    names = default_labels(4)
+    # once per weak order, listed in its first extension's order; the
+    # patterns share their weak orders, so far fewer than uses
+    assert {pairs for _, pairs in filters} == set(uses)
+    assert max(filters.values()) == 1 and sum(steps.values()) == len(filters)
+    assert len(filters) < len(uses) / 4
+    for seq, pairs in filters:
+        assert seq == Ordering(names, pairs).first_extension()
+
+
+def test_scan_decides_nothing_until_a_verdict_is_read(monkeypatch):
+    cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=3))
+    decided = []
+    real = landmark.decide
+
+    def counted(cfg):
+        decided.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(landmark, "decide", counted)
+    monkeypatch.setattr(engine, "_decide_lin", lambda *args: pytest.fail("the scan decided a linear input"))
+    assert len(list(landmark.json_lines(cloud))) == 211
+    results = list(landmark.iter_scan(cloud))
+    assert decided == []
+    monkeypatch.undo()
+    monkeypatch.setattr(landmark, "decide", counted)
+    verdict = results[7].verdict
+    assert decided == [derive_configuration(cloud, results[7].labels)]
+    assert (verdict.status, verdict.sign) == (results[7].status, results[7].sign)
 
 
 def awkward_labels_csv() -> str:
@@ -351,6 +378,20 @@ def test_scan_matches_reference_in_every_dimension(dimension, tmp_path, capsys):
             for fmt in ("json", "text"):
                 out = scan_cli(capsys, path, "--format", fmt, *extra)
                 assert out == reference_scan_output(cloud, fmt, jitter_seed), (name, jitter_seed, fmt)
+
+
+def test_larger_tied_4d_scan_matches_reference(tmp_path, capsys):
+    # 1,996 of the 2,002 subsets have ties, and one tied subset is fixed
+    text = grid_cloud_csv(2, points=14, grid=6, dimension=4)
+    path = tmp_path / "grid4d.csv"
+    path.write_text(text)
+    cloud = PointCloud.from_csv(text)
+    for jitter_seed in (None, 9):
+        extra = () if jitter_seed is None else ("--jitter", str(jitter_seed))
+        out = scan_cli(capsys, path, "--format", "json", *extra)
+        assert out == reference_scan_output(cloud, "json", jitter_seed)
+        summary = json.loads(out.splitlines()[-1])["summary"]
+        assert summary["subsets"] == 2002 and summary["fixed"] and summary["non_fixed"]
 
 
 def test_scan_results_derive_their_own_configuration_and_verdict(cloud_csv_path):
