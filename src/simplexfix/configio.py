@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import Mapping
 
 from .orders import Configuration, OrderingCycleError
 
@@ -137,7 +137,7 @@ def configuration_from_json(payload: Mapping) -> Configuration:
         ):
             raise InputFormatError(f"orders of axis {axis!r} must be a list of label pairs")
         named += [lab for pair in pairs for lab in pair]
-    if not all(isinstance(name, Hashable) for name in named):
+    if any(isinstance(name, (list, dict)) for name in named):
         raise InputFormatError("labels and axes must be strings or numbers, not arrays or objects")
     try:
         return Configuration.from_pairs(labels, axes, orders_payload)

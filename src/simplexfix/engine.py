@@ -69,6 +69,7 @@ from typing import Iterable, Mapping, Sequence
 from . import equivalence
 from .orders import (
     Configuration,
+    Ordering,
     PointAssignment,
     _det_sign_int,
     _det_value,
@@ -455,6 +456,23 @@ def _partial_filters(cfg: Configuration) -> list:
     return [_filters(o.first_extension(), o.pairs) for o in cfg.orders]
 
 
+def _order_parts(order: Ordering) -> tuple:
+    """An ordering's first extension and the :func:`_ray_steps` of its
+    filters in that order, columns in label order, listed once per shape:
+    the ordering renamed to positions in the extension, one of 2^(n-1)
+    for a weak order on n labels."""
+    seq = order.first_extension()
+    at = {lab: i for i, lab in enumerate(seq)}
+    column = [order.labels.index(lab) for lab in seq]
+    shape = _shape_steps(frozenset((at[e], at[f]) for e, f in order.pairs), len(seq))
+    return seq, [([column[i] for i in enter], [column[i] for i in leave]) for enter, leave in shape]
+
+
+@lru_cache(maxsize=None)
+def _shape_steps(pairs: frozenset, n: int) -> list:
+    return _ray_steps(range(n), _filters(range(n), pairs))
+
+
 def _ray_steps(labels: tuple, axis_gens: Sequence) -> list:
     """Per generator of one axis, in order, ``(entering, leaving)``: the
     columns (positions in ``labels``) of the labels it holds that the
@@ -541,21 +559,38 @@ def _ray_rows(labels: tuple, ups: Sequence) -> list:
     return rows
 
 
+def _ray_status(n: int, steps: Sequence) -> tuple:
+    """``(status, sign, found)`` of :func:`_ray_pass` over ``steps``:
+    fixed with the one sign met, or non-fixed when both are."""
+    found = _ray_pass(n, steps)
+    if not found:
+        raise InternalCheckError("the satisfying region is open, so some ray determinant is nonzero")
+    if len(found) == 2:
+        return Status.NON_FIXED, ConfigSign.BOTH, found
+    return Status.FIXED, ConfigSign(next(iter(found))), found
+
+
+def _pattern_status(labels: tuple, axes: tuple, parts: Sequence) -> tuple:
+    """``(status, sign)`` of the configuration whose orderings have the
+    :func:`_order_parts` ``parts``: non-fixed when their first extensions
+    have a chain of extreme removals, else by the ray pass over filters."""
+    if _lemma_certificate(_Lin(labels, axes, tuple(seq for seq, _ in parts))) is not None:
+        return Status.NON_FIXED, ConfigSign.BOTH
+    return _ray_status(len(labels), [steps for _, steps in parts])[:2]
+
+
 def _ray_verdict(cfg, gens: Sequence) -> FixityVerdict:
     """Exact decision by the ray criterion over per-axis filters ``gens``
     (of a configuration or a ``_Lin``; only its labels and axes are
     read)."""
-    found = _ray_search(cfg.labels, gens)
-    if len(found) == 2:
+    status, sign, found = _ray_status(len(cfg.labels), [_ray_steps(cfg.labels, g) for g in gens])
+    if status is Status.FIXED:
+        cert = {"type": "ray_all", "tuples": prod(map(len, gens)), "sign": str(sign)}
+    else:
         cert = {"type": "ray_pair"}
         for key, d in (("plus", 1), ("minus", -1)):
             cert[key] = {axis: list(g[k]) for axis, g, k in zip(cfg.axes, gens, found[d])}
-        return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
-    if not found:
-        raise InternalCheckError("the satisfying region is open, so some ray determinant is nonzero")
-    sign = ConfigSign(next(iter(found)))
-    cert = {"type": "ray_all", "tuples": prod(map(len, gens)), "sign": str(sign)}
-    return FixityVerdict(Status.FIXED, sign, cert)
+    return FixityVerdict(status, sign, cert)
 
 
 def _replay_ray(cfg, gens: Sequence, status: Status, sign, cert) -> bool:
@@ -590,35 +625,19 @@ def _dim3_fixed_search(lin: _Lin):
     ``(oz[2], oz[0], oz[1])``; X must sit on one side of D on every axis
     after reversal.
     """
-    axis_range = range(3)
     for d_label in lin.labels:
-        restr = tuple(
-            tuple(l for l in lin.seqs[a] if l != d_label) for a in axis_range
-        )
-        if (
-            _relation(restr[0], restr[1])
-            or _relation(restr[0], restr[2])
-            or _relation(restr[1], restr[2])
-        ):
+        restr = tuple(tuple(lab for lab in seq if lab != d_label) for seq in lin.seqs)
+        if any(_relation(restr[a], restr[b]) for a, b in ((0, 1), (0, 2), (1, 2))):
             continue
-        d_below = tuple(
-            frozenset(lin.seqs[a][: lin.seqs[a].index(d_label)]) for a in axis_range
-        )
+        d_below = tuple(frozenset(seq[: seq.index(d_label)]) for seq in lin.seqs)
         for mask in range(8):
-            rr = tuple(
-                tuple(reversed(restr[a])) if mask >> a & 1 else restr[a]
-                for a in axis_range
-            )
+            rr = tuple(r[::-1] if mask >> a & 1 else r for a, r in enumerate(restr))
             for rho in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
                 oz = rr[rho[2]]
-                if rr[rho[0]] != (oz[1], oz[2], oz[0]):
-                    continue
-                if rr[rho[1]] != (oz[2], oz[0], oz[1]):
+                if (rr[rho[0]], rr[rho[1]]) != ((oz[1], oz[2], oz[0]), (oz[2], oz[0], oz[1])):
                     continue
                 for x_label in oz:
-                    sides = [
-                        (x_label in d_below[a]) ^ bool(mask >> a & 1) for a in axis_range
-                    ]
+                    sides = [(x_label in d_below[a]) ^ bool(mask >> a & 1) for a in range(3)]
                     if sides[0] == sides[1] == sides[2]:
                         return d_label, x_label
     return None
@@ -840,10 +859,7 @@ def _lift_witness(lin: _Lin, e, axis_index: int, child_pairs):
                 elif i == n - 1:
                     val = Fraction(values[(seq[-2], axis)]) + 1
                 else:
-                    val = (
-                        Fraction(values[(seq[i - 1], axis)])
-                        + Fraction(values[(seq[i + 1], axis)])
-                    ) / 2
+                    val = (Fraction(values[(seq[i - 1], axis)]) + values[(seq[i + 1], axis)]) / 2
                 values[(e, axis)] = val
             values[(e, b)] = Fraction(0)
             g0 = _det_value(lin.labels, lin.axes, values)

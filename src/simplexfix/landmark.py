@@ -7,8 +7,8 @@ summary counts.  Its work is done once per pair of points, per weak
 order or per distinct pattern, not once per subset (see
 :func:`iter_scan`): every pair of points is compared on every axis
 before the subset loop, each subset's pattern key is summed from those
-comparisons as the nested index loops choose its points, the ray pass
-over filters runs once per distinct pattern, and the filters of each
+comparisons as the nested index loops choose its points, each distinct
+pattern is decided once, and the first extension and filters of each
 per-axis weak order are listed once.  It streams: the CLI writes each
 line as soon as its subset is decided, from a prefix rendered once per
 status and sign and labels JSON-escaped once per point
@@ -27,16 +27,15 @@ from __future__ import annotations
 import csv
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .configio import InputFormatError
-from .engine import FixityVerdict, InternalCheckError, Status, check_size, decide
-from .engine import _filters, _ray_pass, _ray_steps
+from .engine import FixityVerdict, Status, _order_parts, _pattern_status, check_size, decide
 from .equivalence import default_axes, default_labels
 from .orders import Configuration, Ordering, PointAssignment
 from .signs import ConfigSign
@@ -269,27 +268,28 @@ class ScanReport:
         return list(json_objects(self.results, self.jitter_seed))
 
 
-def _pair_codes(cloud: PointCloud) -> list:
-    """``codes[p][q]`` for points ``p < q`` in label order: the sum over
-    axes ``a`` of ``3**(a * pairs)`` times 0, 1 or 2 as point ``p`` lies
-    below, level with or above point ``q`` on axis ``a``, where ``pairs``
-    is the number of point pairs in a subset."""
+def _pair_codes(cloud: PointCloud) -> tuple:
+    """``(codes, ranks)``: ``codes[p][q]`` (points ``p < q`` in label
+    order) sums over axes ``a`` ``3**(a * pairs)`` times 0, 1 or 2 as ``p``
+    lies below, level with or above ``q`` on ``a``, ``pairs`` being a
+    subset's number of point pairs; ``ranks[a][label]`` is the point's
+    exact rank among axis ``a``'s distinct values, ties sharing one."""
     n = len(cloud.labels)
     pairs = comb(cloud.dimension + 1, 2)
     codes = [[0] * n for _ in range(n)]
+    ranks = []
     for a, axis in enumerate(cloud.axes):
-        # each point's rank among the axis's distinct values: exact, and
-        # tied coordinates share a rank
         values = [cloud.value(lab, axis) for lab in cloud.labels]
         rank = {v: i for i, v in enumerate(sorted(set(values)))}
         column = [rank[v] for v in values]
+        ranks.append(dict(zip(cloud.labels, column)))
         weight = 3 ** (a * pairs)
         for p, x in enumerate(column):
             row = codes[p]
             for q in range(p + 1, n):
                 y = column[q]
                 row[q] += weight * ((x == y) + 2 * (x > y))
-    return codes
+    return codes, ranks
 
 
 def _prefixes(labels: tuple, terms: list, size: int) -> Iterator[tuple]:
@@ -320,44 +320,32 @@ def _prefixes(labels: tuple, terms: list, size: int) -> Iterator[tuple]:
 
 def _scan(cloud: PointCloud, outcome) -> Iterator[tuple]:
     """``(labels, outcome(status, sign))`` per subset, the status and sign
-    found once per distinct pattern and each outcome made once per sign;
-    see :func:`iter_scan`."""
+    found once per distinct pattern and each outcome made once per status
+    and sign; see :func:`iter_scan`."""
     size = cloud.dimension + 1
     names = default_labels(size)
     positions = [(s, t) for t in range(1, size) for s in range(t)]
-    pairs = [(names[s], names[t]) for s, t in positions]
-    radix = 3 ** len(pairs)
+    radix = 3 ** len(positions)
     # a subset's pattern key: the sum over its pairs k of 3**k times the
     # pair's code, so axis a's code is its base-radix digit a, and that
     # code's ternary digit k compares pair k on axis a
-    codes = _pair_codes(cloud)
+    codes, ranks = _pair_codes(cloud)
     terms = [[None] * size for _ in range(size)]
     for k, (s, t) in enumerate(positions):
         terms[s][t] = [[code * 3**k for code in row] for row in codes]
-    axis_steps = {}  # per-axis code -> the ray steps of its weak order's filters
-    outcomes = {s: outcome(Status.FIXED if s.value else Status.NON_FIXED, s) for s in ConfigSign}
+    axis_parts = {}  # per-axis code -> the first extension and ray steps of its weak order
+    outcome = cache(outcome)  # made once per status and sign
     decided = {}  # pattern key -> outcome
 
-    def judge(key: int):
+    def judge(key: int, subset: tuple):
         per_axis = []
-        for _ in cloud.axes:
+        for rank in ranks:
             key, code = divmod(key, radix)
-            if code not in axis_steps:
-                below, rest = [], code
-                for pair in pairs:
-                    rest, c = divmod(rest, 3)
-                    if c != 1:
-                        below.append(pair if c == 0 else pair[::-1])
-                # the weak order's first extension: by the number of points
-                # below, ties in label order
-                under = Counter(f for _, f in below)
-                first = tuple(sorted(names, key=under.__getitem__))
-                axis_steps[code] = _ray_steps(names, _filters(first, below))
-            per_axis.append(axis_steps[code])
-        found = _ray_pass(size, per_axis)
-        if not found:
-            raise InternalCheckError("the satisfying region is open, so some ray determinant is nonzero")
-        return outcomes[ConfigSign(sum(found))]  # the two signs sum to BOTH's value, 0
+            if code not in axis_parts:
+                # the weak order the code spells: the subset's on this axis
+                axis_parts[code] = _order_parts(_axis_ordering(names, [rank[lab] for lab in subset]))
+            per_axis.append(axis_parts[code])
+        return outcome(*_pattern_status(names, cloud.axes, per_axis))
 
     labels = cloud.labels
     for chosen, prefix_key, row, start in _prefixes(labels, terms, size):
@@ -365,7 +353,7 @@ def _scan(cloud: PointCloud, outcome) -> Iterator[tuple]:
             key = prefix_key + term
             hit = decided.get(key)
             if hit is None:
-                hit = decided[key] = judge(key)
+                hit = decided[key] = judge(key, chosen + (lab,))
             yield chosen + (lab,), hit
 
 
@@ -385,9 +373,9 @@ def iter_scan(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[Sub
     the first lies below, level with or above the second.  Two subsets
     with one pattern derive the same configuration up to the
     order-preserving relabeling of their points, so they share status and
-    sign, found once per distinct pattern by the ray pass over filters,
-    the criterion :func:`decide` ends with: fixed with the one sign met,
-    or non-fixed when both are.  No configuration, canonical form or
+    sign, found once per distinct pattern as :func:`decide` would: non-fixed
+    if its first extension has a chain of extreme removals, else by the
+    ray pass over filters.  No configuration, canonical form or
     certificate is made; a result's ``verdict`` calls ``decide`` when read.
 
     Keying compares every pair of points on every axis once, before any
@@ -395,8 +383,8 @@ def iter_scan(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[Sub
     pair.  A subset's key sums one term per pair of its points, added
     level by level as the nested index loops choose them, so the
     innermost loop adds one term per subset.  Each distinct per-axis code
-    is a weak order on ``d+1`` points, whose filters and ray steps are
-    listed once for all the patterns that contain it.
+    is a weak order on ``d+1`` points, whose first extension and filter
+    ray steps are listed once for all the patterns that contain it.
 
     Raises ValueError when a subset would exceed the engine's
     ``MAX_LABELS`` labels, before listing any subset.
@@ -413,7 +401,7 @@ def json_lines(cloud: PointCloud, jitter_seed: int | None = None) -> Iterator[st
     ``json.dumps(obj, sort_keys=True)`` of each object of
     ``json_objects(iter_scan(cloud, jitter_seed), jitter_seed)``.
 
-    Each line is a prefix rendered once per distinct pattern, holding the
+    Each line is a prefix rendered once per status and sign, holding the
     ``sign`` and ``status`` keys that sort before ``subset``, then the
     subset's labels, each JSON-escaped once per point.  Raises as
     :func:`iter_scan` does, before yielding a line.

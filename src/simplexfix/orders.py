@@ -69,16 +69,15 @@ class Ordering:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
-        universe = set(self.labels)
+        above = {lab: set() for lab in self.labels}
         for e, f in self.pairs:
-            if e not in universe or f not in universe:
+            if e not in above or f not in above:
                 raise KeyError(f"pair ({e!r}, {f!r}) outside the label set")
             if e == f or (f, e) in self.pairs:
                 raise OrderingCycleError(f"({e!r}, {f!r}) breaks strictness")
-        for e, f in self.pairs:
-            for g, h in self.pairs:
-                if f == g and (e, h) not in self.pairs:
-                    raise ValueError("pair set is not transitively closed")
+            above[e].add(f)
+        if any(not above[f] <= above[e] for e, f in self.pairs):
+            raise ValueError("pair set is not transitively closed")
 
     @classmethod
     def from_pairs(cls, labels: Sequence, pairs: Iterable[tuple]) -> "Ordering":

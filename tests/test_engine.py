@@ -476,6 +476,21 @@ def test_ray_search_matches_one_determinant_per_tuple():
             assert _ray_search(cfg.labels, gens) == _ray_reference(cfg.labels, gens)
 
 
+def test_order_parts_from_shapes_match_each_ordering_and_decide():
+    from simplexfix.engine import _filters, _order_parts, _pattern_status, _ray_steps, _ray_verdict
+
+    rng = random.Random(43)
+    for n, count in ((3, 40), (4, 60), (5, 30), (6, 10)):
+        for cfg in seeded_partials(rng, n, count):
+            parts = [_order_parts(o) for o in cfg.orders]
+            filters = [_filters(o.first_extension(), o.pairs) for o in cfg.orders]
+            assert parts == [(o.first_extension(), _ray_steps(o.labels, f)) for o, f in zip(cfg.orders, filters)]
+            verdict = decide(cfg)
+            if verdict.certificate["type"] != "extension":
+                assert verdict == _ray_verdict(cfg, filters)
+            assert _pattern_status(cfg.labels, cfg.axes, parts) == (verdict.status, verdict.sign)
+
+
 def test_ray_criterion_agrees_with_decide_at_n3_and_n4():
     from simplexfix import enumerate_classes
     from simplexfix.engine import _chain_filters, _Lin, _ray_verdict

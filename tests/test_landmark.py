@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from simplexfix import (
     InputFormatError,
-    Ordering,
     PointAssignment,
     PointCloud,
     Status,
@@ -252,49 +251,48 @@ def _renamed_patterns(cloud) -> list:
     return out
 
 
-def test_scan_runs_one_ray_search_per_distinct_pattern(monkeypatch):
+def test_scan_decides_each_distinct_pattern_once(monkeypatch):
     cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=2))
     patterns = set(_renamed_patterns(cloud))
-    searches = []
-    real = landmark._ray_pass
+    decided, searched = [], []
+    real_status, real_search = landmark._pattern_status, engine._ray_status
 
-    def counted(n, steps):
-        searches.append(steps)
-        return real(n, steps)
+    def counted_status(labels, axes, parts):
+        decided.append(parts)
+        return real_status(labels, axes, parts)
 
-    monkeypatch.setattr(landmark, "_ray_pass", counted)
+    def counted_search(n, steps):
+        searched.append(steps)
+        return real_search(n, steps)
+
+    monkeypatch.setattr(landmark, "_pattern_status", counted_status)
+    monkeypatch.setattr(engine, "_ray_status", counted_search)
     report = scan(cloud)
     assert len(report.results) == 210
-    assert len(searches) == len(patterns) < 210 / 2
+    assert len(decided) == len(patterns) < 210 / 2
+    # the ray pass runs only where the first extensions have no chain of
+    # extreme removals
+    assert 0 < len(searched) < len(decided)
 
 
-def test_scan_computes_filters_and_steps_once_per_weak_order(monkeypatch):
+def test_scan_computes_first_extension_and_filters_once_per_weak_order(monkeypatch):
     cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=3))
-    filters, steps = Counter(), Counter()
-    real_filters, real_steps = landmark._filters, landmark._ray_steps
+    listed = Counter()
+    real = landmark._order_parts
 
-    def counted_filters(seq, pairs):
-        pairs = frozenset(pairs)
-        filters[seq, pairs] += 1
-        return real_filters(seq, pairs)
+    def counted(order):
+        assert order.labels == default_labels(4)
+        listed[order.pairs] += 1
+        return real(order)
 
-    def counted_steps(labels, gens):
-        steps[tuple(gens)] += 1
-        return real_steps(labels, gens)
-
-    monkeypatch.setattr(landmark, "_filters", counted_filters)
-    monkeypatch.setattr(landmark, "_ray_steps", counted_steps)
+    monkeypatch.setattr(landmark, "_order_parts", counted)
     report = scan(cloud)
     assert len(report.results) == 210
     uses = [axis for pattern in _renamed_patterns(cloud) for axis in pattern]
-    names = default_labels(4)
-    # once per weak order, listed in its first extension's order; the
-    # patterns share their weak orders, so far fewer than uses
-    assert {pairs for _, pairs in filters} == set(uses)
-    assert max(filters.values()) == 1 and sum(steps.values()) == len(filters)
-    assert len(filters) < len(uses) / 4
-    for seq, pairs in filters:
-        assert seq == Ordering(names, pairs).first_extension()
+    # once per weak order; the patterns share their weak orders, so far
+    # fewer than uses
+    assert set(listed) == set(uses) and max(listed.values()) == 1
+    assert len(listed) < len(uses) / 4
 
 
 def test_scan_decides_nothing_until_a_verdict_is_read(monkeypatch):
