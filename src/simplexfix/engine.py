@@ -311,11 +311,12 @@ def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
     """Search all ordered pivot pairs for a definite expansion sign.
 
     Sound for FIXED at every n; complete at n <= 4.  Children are decided
-    exactly.  Returns UNKNOWN when every pivot collapses.
+    exactly.  Returns UNKNOWN when every pivot collapses.  The certificate
+    is the caller's own copy, as :func:`decide`'s is.
     """
     if cfg.n() < 3:
         raise ValueError("expansion needs at least three labels")
-    return _expansion_verdict(_Lin.of(cfg))
+    return _handed_out(_expansion_verdict(_Lin.of(cfg)))
 
 
 def _expansion_verdict(lin: _Lin) -> FixityVerdict:
@@ -709,6 +710,18 @@ def clear_memo() -> None:
     _decide_class.cache_clear()
 
 
+def _handed_out(verdict: FixityVerdict) -> FixityVerdict:
+    """The verdict with fresh copies of its certificate's dicts and lists,
+    which inside the engine are shared with the memo's verdicts."""
+    return FixityVerdict(verdict.status, verdict.sign, _copy_tree(verdict.certificate))
+
+
+def _copy_tree(node):
+    if type(node) is dict:
+        return {key: _copy_tree(value) for key, value in node.items()}
+    return [_copy_tree(value) for value in node] if type(node) is list else node
+
+
 def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
     """Decide a linear configuration: two and three labels directly, four
     or more through the memo, or at n = 4 with ``debug_crosscheck`` by all
@@ -723,18 +736,18 @@ def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
         return _crosscheck_dim3(lin)
     # four or more labels: decide the canonical representative once and
     # transport its verdict
-    canon, g, parity = equivalence.canonical(equivalence.encode(lin.labels, lin.seqs), n)
+    canon, src, sigma, revs, parity = equivalence.canonical(equivalence.encode(lin.labels, lin.seqs), n)
     verdict, rep_payload = _decide_class(canon, n)
     cert = {
         "type": "equivalent",
-        "axis_source": list(g.axis_source),
-        "label_perm": list(g.label_perm),
-        "reversals": list(g.reversals),
-        "parity": str(parity),
+        "axis_source": list(src),
+        "label_perm": list(sigma),
+        "reversals": list(revs),
+        "parity": str(FormalSign(parity)),
         "representative": rep_payload,
         "inner": verdict.certificate,
     }
-    return FixityVerdict(verdict.status, ConfigSign(parity.value * verdict.sign.value), cert)
+    return FixityVerdict(verdict.status, ConfigSign(parity * verdict.sign.value), cert)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -777,11 +790,12 @@ def decide(
     each axis's filters, its proper nonempty up-sets, whose indicator
     vectors generate the axis's satisfying coordinates as they do for a
     chain.  Every verdict is FIXED or NON_FIXED; ``frontier_samples`` has
-    no effect.  Raises ValueError above :data:`MAX_LABELS` labels.
+    no effect; the certificate is the caller's own copy.  Raises
+    ValueError above :data:`MAX_LABELS` labels.
     """
     check_size(cfg.n())
     if cfg.is_linear():
-        return _decide_lin(_Lin.of(cfg), debug_crosscheck)
+        return _handed_out(_decide_lin(_Lin.of(cfg), debug_crosscheck))
     first = _Lin(cfg.labels, cfg.axes, tuple(o.first_extension() for o in cfg.orders))
     verdict = _decide_lin(first, debug_crosscheck)
     if verdict.status is Status.NON_FIXED:
@@ -790,7 +804,7 @@ def decide(
             "orders": {a: list(seq) for a, seq in zip(first.axes, first.seqs)},
             "inner": verdict.certificate,
         }
-        return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
+        return _handed_out(FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert))
     return _ray_verdict(cfg, _partial_filters(cfg))
 
 

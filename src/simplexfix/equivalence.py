@@ -21,7 +21,8 @@ candidates (``k`` axes) is the orbit minimum; no scan over the ``k! * 2^k``
 axis permutations and reversal masks, and no permutation table, is needed.
 The group element reported is the one the full scan would meet first: the
 least ``(axis_source, reversal mask as an integer)`` reaching the minimum,
-axes with equal sequences taken in index order.
+axes with equal sequences taken in index order.  :func:`canonical` caches
+it as three tuples of ints, which the garbage collector does not track.
 
 The same shape drives class enumeration: a canonical code's later axes
 are reduced (each no greater than its reversal) and sorted, so
@@ -100,20 +101,18 @@ class GroupElement:
 def sign_parity(g: GroupElement) -> FormalSign:
     """How ``g`` transports the determinant sign: label-permutation parity
     times axis-permutation parity times one flip per reversed axis."""
-    k = len(g.axis_source)
+    return FormalSign(_parity(g.axis_source, g.label_perm, g.reversals))
+
+
+def _parity(axis_source: tuple, label_perm: tuple, reversals: tuple) -> int:
+    """:func:`sign_parity` of the element with these fields, as +1 or -1."""
     parity = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.axis_source[i] > g.axis_source[j]:
-                parity = -parity
-    m = len(g.label_perm)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if g.label_perm[i] > g.label_perm[j]:
-                parity = -parity
-    if sum(g.reversals) % 2:
-        parity = -parity
-    return FormalSign(parity)
+    for perm in (axis_source, label_perm):
+        for i in range(len(perm)):
+            for j in range(i + 1, len(perm)):
+                if perm[i] > perm[j]:
+                    parity = -parity
+    return -parity if sum(reversals) % 2 else parity
 
 
 def apply(g: GroupElement, cfg: Configuration) -> Configuration:
@@ -197,8 +196,9 @@ def _candidates(code: bytes, n: int):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def canonical(code: bytes, n: int) -> tuple:
-    """(canonical code, group element ``g`` mapping ``code`` to it,
-    ``sign_parity(g)``)."""
+    """``(canonical code, axis_source, label_perm, reversals, parity)``:
+    the fields of the group element ``g`` mapping ``code`` to it, and
+    ``sign_parity(g)`` as +1 or -1."""
     cands = list(_candidates(code, n))
     best = min(cand for cand, *_ in cands)
     elements = []  # (axis_source, reversal mask as an integer, reversals, sigma)
@@ -206,10 +206,9 @@ def canonical(code: bytes, n: int) -> tuple:
         if cand == best:
             src = (j, *(i for _, i, _ in rest))
             revs = (b, *(rev for _, _, rev in rest))
-            elements.append((src, sum(r << p for p, r in enumerate(revs)), revs, sigma))
+            elements.append((src, sum(r << p for p, r in enumerate(revs)), revs, tuple(sigma)))
     src, _, revs, sigma = min(elements)
-    g = GroupElement(src, tuple(sigma), revs)
-    return bytes(range(n)) + best, g, sign_parity(g)
+    return bytes(range(n)) + best, src, sigma, revs, _parity(src, sigma, revs)
 
 
 def _rank(perm: bytes) -> int:
@@ -235,8 +234,9 @@ def canonical_key(cfg: Configuration) -> int:
 
 def canonical_form(cfg: Configuration) -> tuple:
     """(orbit-minimum configuration, group element mapping cfg to it)."""
-    canon, g, _ = canonical(code_of(cfg), len(cfg.labels))
-    return Configuration.from_sequences(cfg.labels, cfg.axes, decode(canon, cfg.labels)), g
+    canon, *fields, _ = canonical(code_of(cfg), len(cfg.labels))
+    rep = Configuration.from_sequences(cfg.labels, cfg.axes, decode(canon, cfg.labels))
+    return rep, GroupElement(*fields)
 
 
 def are_equivalent(c1: Configuration, c2: Configuration) -> bool:

@@ -19,7 +19,9 @@ from simplexfix import (
     Configuration,
     FixityVerdict,
     FormalSign,
+    GroupElement,
     Status,
+    apply,
     build_witness,
     crosscheck_dim3,
     decide,
@@ -290,7 +292,6 @@ def test_replay_rejects_tampered_certificates():
     other = {"equal": "reversed", "reversed": "equal"}[lemma.certificate["base"]["relation"]]
     assert not replay_certificate(ext, tampered(lemma, lambda c: c["base"].update(relation=other)))
 
-    from simplexfix import GroupElement, apply
     from simplexfix.equivalence import code_of
 
     equivalent = decide(cfg)
@@ -755,6 +756,59 @@ def test_memo_is_bounded_and_eviction_keeps_verdicts(monkeypatch):
             assert decide(cfg).to_json() == want
             assert capped.cache_info().currsize <= 8
     engine.clear_memo()
+
+
+ROTATED5 = Configuration.from_sequences(
+    ("A", "B", "C", "D", "E"),
+    ("x", "y", "z", "w"),
+    (tuple("ABCDE"), tuple("BCDEA"), tuple("CDEAB"), tuple("EDCBA")),
+)
+
+# ROTATED5 with A unordered on x: its first extension is ROTATED5 itself
+FLOATING5 = Configuration.from_pairs(
+    ROTATED5.labels,
+    ROTATED5.axes,
+    {
+        "x": [("B", "C"), ("C", "D"), ("D", "E")],
+        "y": [("B", "C"), ("C", "D"), ("D", "E"), ("E", "A")],
+        "z": [("C", "D"), ("D", "E"), ("E", "A"), ("A", "B")],
+        "w": [("E", "D"), ("D", "C"), ("C", "B"), ("B", "A")],
+    },
+)
+
+
+def _wreck(node):
+    """Empty every dict and list of a certificate, innermost first."""
+    for child in list(node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            _wreck(child)
+    node.clear()
+
+
+@pytest.mark.parametrize(
+    "cfg, run, kind",
+    [
+        (FIXED5, decide, "equivalent"),
+        (ROTATED5, decide, "equivalent"),
+        (FLOATING5, decide, "extension"),
+        (FIXED5, formally_fixed_by_expansion, "expansion"),
+    ],
+    ids=["fixed", "non_fixed", "partial", "expansion"],
+)
+def test_editing_a_returned_certificate_changes_no_later_verdict(cfg, run, kind):
+    # the memo's verdicts share their representative, inner certificate
+    # and expansion children with what the engine builds on top of them;
+    # the caller gets a copy, so emptying it leaves the memo intact
+    from simplexfix import engine
+
+    engine.clear_memo()
+    first = run(cfg)
+    assert first.certificate["type"] == kind
+    untouched = copy.deepcopy(first)
+    _wreck(first.certificate)
+    assert run(cfg) == untouched
+    moved = apply(GroupElement((1, 0, 2, 3), (4, 0, 1, 2, 3), (True, False, False, False)), cfg)
+    assert replay_certificate(moved, decide(moved))
 
 
 def test_dim5_frontier_is_decided_by_the_ray_criterion():

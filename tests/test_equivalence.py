@@ -1,5 +1,6 @@
 """Group action laws, canonical forms, class enumeration and counting."""
 
+import gc
 import random
 from itertools import permutations, product
 from math import factorial
@@ -176,6 +177,24 @@ def test_canonical_form_idempotent_and_orbit_invariant():
         h = random_group_element(rng, 4)
         moved_canon, _ = canonical_form(apply(h, cfg))
         assert moved_canon == canon
+
+
+def test_canonical_cache_holds_nothing_the_collector_tracks():
+    # a full collection walks every tracked object, so a cache of group
+    # elements made each one cost time in proportion to the cache
+    rng = random.Random("untracked-cache")
+    codes = {bytes(b for _ in range(4) for b in rng.sample(range(5), 5)) for _ in range(2000)}
+    canonical.cache_clear()
+    gc.collect()
+    before = len(gc.get_objects())
+    results = [canonical(code, 5) for code in codes]
+    del results
+    # a full pass may meet a tuple before the tuples it holds are untracked
+    gc.collect()
+    gc.collect()
+    assert canonical.cache_info().currsize == len(codes) > 1900
+    assert len(gc.get_objects()) - before < 100
+    assert not gc.is_tracked(canonical(next(iter(codes)), 5))
 
 
 def test_canonical_form_rejects_partial():
