@@ -101,18 +101,20 @@ class GroupElement:
 def sign_parity(g: GroupElement) -> FormalSign:
     """How ``g`` transports the determinant sign: label-permutation parity
     times axis-permutation parity times one flip per reversed axis."""
-    return FormalSign(_parity(g.axis_source, g.label_perm, g.reversals))
-
-
-def _parity(axis_source: tuple, label_perm: tuple, reversals: tuple) -> int:
-    """:func:`sign_parity` of the element with these fields, as +1 or -1."""
+    k = len(g.axis_source)
     parity = 1
-    for perm in (axis_source, label_perm):
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    parity = -parity
-    return -parity if sum(reversals) % 2 else parity
+    for i in range(k):
+        for j in range(i + 1, k):
+            if g.axis_source[i] > g.axis_source[j]:
+                parity = -parity
+    m = len(g.label_perm)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if g.label_perm[i] > g.label_perm[j]:
+                parity = -parity
+    if sum(g.reversals) % 2:
+        parity = -parity
+    return FormalSign(parity)
 
 
 def apply(g: GroupElement, cfg: Configuration) -> Configuration:
@@ -208,7 +210,7 @@ def canonical(code: bytes, n: int) -> tuple:
             revs = (b, *(rev for _, _, rev in rest))
             elements.append((src, sum(r << p for p, r in enumerate(revs)), revs, tuple(sigma)))
     src, _, revs, sigma = min(elements)
-    return bytes(range(n)) + best, src, sigma, revs, _parity(src, sigma, revs)
+    return bytes(range(n)) + best, src, sigma, revs, sign_parity(GroupElement(src, sigma, revs)).value
 
 
 def _rank(perm: bytes) -> int:
