@@ -198,9 +198,8 @@ def _candidates(code: bytes, n: int):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def canonical(code: bytes, n: int) -> tuple:
-    """``(canonical code, axis_source, label_perm, reversals, parity)``:
-    the fields of the group element ``g`` mapping ``code`` to it, and
-    ``sign_parity(g)`` as +1 or -1."""
+    """``(canonical code, axis_source, label_perm, reversals, parity)``: the
+    fields of the element ``g`` mapping ``code`` to it, and ``sign_parity(g).value``."""
     cands = list(_candidates(code, n))
     best = min(cand for cand, *_ in cands)
     elements = []  # (axis_source, reversal mask as an integer, reversals, sigma)
