@@ -6,7 +6,7 @@ arguments are file paths (``-`` for stdin) in the text or JSON format of
 :mod:`simplexfix.configio`.
 
 Exit codes: 0 success, 1 usage error (including a configuration of more
-than ``engine.MAX_LABELS`` labels, and ``extensions`` on one of more than
+than ``criteria.MAX_LABELS`` labels, and ``extensions`` on one of more than
 :data:`MAX_EXTENSIONS` linear extensions), 2 unparseable input (with
 ``line:column`` diagnostics).  When stdout's reader goes away before the
 output ends (``simplexfix scan ... | head -1``), the command stops
@@ -24,7 +24,9 @@ import json
 import os
 import sys
 
-from . import equivalence, landmark
+# every command loads these; engine, equivalence and landmark each command
+# imports itself, so a scan loads neither the engine nor the symmetry group
+# (every process compiles the modules it imports where no bytecode is kept)
 from .configio import (
     InputFormatError,
     assignment_to_json,
@@ -32,14 +34,7 @@ from .configio import (
     parse_configuration,
     render_configuration_text,
 )
-from .engine import (
-    NotNonFixedError,
-    Status,
-    build_witness,
-    check_size,
-    decide,
-    sample_signs,
-)
+from .criteria import Status, check_size
 from .orders import configuration_extensions, extension_count
 
 USAGE_ERROR = 1
@@ -163,6 +158,8 @@ def _print_verdict_text(verdict) -> None:
 
 
 def _cmd_decide(args) -> int:
+    from .engine import decide
+
     cfg = _load_configuration(args.config)
     verdict = decide(cfg, debug_crosscheck=args.debug_crosscheck)
     if args.format == "json":
@@ -188,13 +185,15 @@ def _cmd_extensions(args) -> int:
 
 
 def _cmd_canon(args) -> int:
+    from .equivalence import canonical_form, sign_parity
+
     cfg = _load_configuration(args.config)
-    canon, g = equivalence.canonical_form(cfg)  # ValueError on partial input
+    canon, g = canonical_form(cfg)  # ValueError on partial input
     element = {
         "axis_source": list(g.axis_source),
         "label_perm": list(g.label_perm),
         "reversals": [bool(b) for b in g.reversals],
-        "parity": str(equivalence.sign_parity(g)),
+        "parity": str(sign_parity(g)),
     }
     if args.format == "json":
         print(json.dumps({"canonical": configuration_to_json(canon), "group_element": element},
@@ -207,10 +206,12 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_count_classes(args) -> int:
+    from .equivalence import count_classes
+
     if args.n >= 6 and not args.allow_long:
         print("simplexfix: count-classes 6 needs --allow-long", file=sys.stderr)
         return USAGE_ERROR
-    count = equivalence.count_classes(args.n)
+    count = count_classes(args.n)
     if args.format == "json":
         print(json.dumps({"n": args.n, "classes": count}))
     else:
@@ -219,7 +220,9 @@ def _cmd_count_classes(args) -> int:
 
 
 def _cmd_enumerate_classes(args) -> int:
-    reps = equivalence.enumerate_classes(args.n, allow_long=args.allow_long)
+    from .equivalence import enumerate_classes
+
+    reps = enumerate_classes(args.n, allow_long=args.allow_long)
     if args.format == "json":
         print(json.dumps([configuration_to_json(r) for r in reps]))
     else:
@@ -228,18 +231,22 @@ def _cmd_enumerate_classes(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cloud = landmark.PointCloud.from_csv(_read_source(args.csv))
+    from .landmark import PointCloud, iter_scan, json_lines, subset_width, text_lines
+
+    cloud = PointCloud.from_csv(_read_source(args.csv))
     if args.format == "json":
-        lines = landmark.json_lines(cloud, args.jitter)
+        lines = json_lines(cloud, args.jitter)
     else:
-        results = landmark.iter_scan(cloud, jitter_seed=args.jitter)
-        lines = landmark.text_lines(results, landmark.subset_width(cloud), args.jitter)
+        results = iter_scan(cloud, jitter_seed=args.jitter)
+        lines = text_lines(results, subset_width(cloud), args.jitter)
     for line in lines:  # each line goes out as soon as its subset is decided
         print(line, flush=True)
     return 0
 
 
 def _cmd_witness(args) -> int:
+    from .engine import NotNonFixedError, build_witness
+
     cfg = _load_configuration(args.config)
     try:
         pair = build_witness(cfg)
@@ -259,6 +266,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .engine import sample_signs
+
     cfg = _load_configuration(args.config)
     histogram = sample_signs(cfg, args.seed, args.samples)
     if args.format == "json":

@@ -48,6 +48,9 @@ children, representatives and first extensions; one walker
 and replay; one ray pass (``_ray_pass``) serves chains, partial orders
 and the landmark scan's patterns; replay compares codes under the group
 action and checks an extension by positions, building no orderings.
+``_Lin``, the extreme-removal search, the ray pass, :class:`Status` and
+the size limit live in :mod:`simplexfix.criteria`, which the landmark
+scan imports without this module.
 
 Configurations of more than :data:`MAX_LABELS` labels are refused with a
 ValueError: the ray criterion has ``(n-1)^(n-1)`` tuples on linear input
@@ -59,17 +62,30 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from . import equivalence
+from .criteria import (
+    MAX_LABELS,
+    InternalCheckError,
+    Status,
+    _filters,
+    _lemma_certificate,
+    _Lin,
+    _ray_pass,
+    _ray_status,
+    _ray_steps,
+    _relation,
+    check_size,
+    default_axes,
+    default_labels,
+)
+from .equivalence import GroupElement, act, canonical, decode, encode, sign_parity
 from .orders import (
     Configuration,
-    Ordering,
     PointAssignment,
     _det_sign_int,
     _det_value,
@@ -79,32 +95,12 @@ from .orders import (
 from .signs import ConfigSign, DetSign, FormalSign, fneg, formal_det_sign_2x2
 
 
-MAX_LABELS = 8
-
-
-def check_size(n: int) -> None:
-    """Refuse configurations of more than :data:`MAX_LABELS` labels with a
-    ValueError naming the limit."""
-    if n > MAX_LABELS:
-        raise ValueError(f"configurations of more than {MAX_LABELS} labels are not supported (got {n})")
-
-
 class NotNonFixedError(ValueError):
     """Witness construction was asked for a configuration that is fixed."""
 
 
-class InternalCheckError(RuntimeError):
-    """A verification that must never fail did; indicates a bug."""
-
-
 class CrossCheckError(InternalCheckError):
     """The three dimension-3 characterizations disagreed."""
-
-
-class Status(Enum):
-    FIXED = "fixed"
-    NON_FIXED = "non_fixed"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -146,53 +142,6 @@ def verify_witness(pair: WitnessPair, cfg: Configuration) -> bool:
         and det_sign(pair.plus) is DetSign.POS
         and det_sign(pair.minus) is DetSign.NEG
     )
-
-
-# ---------------------------------------------------------------------------
-# light internal view of a linear configuration
-
-
-class _Lin:
-    """Label names, axis names and per-axis sequences of a linear
-    configuration; every path past the input boundary works on this."""
-
-    __slots__ = ("labels", "axes", "seqs")
-
-    def __init__(self, labels, axes, seqs):
-        self.labels = labels
-        self.axes = axes
-        self.seqs = seqs
-
-    @classmethod
-    def of(cls, cfg: Configuration) -> "_Lin":
-        if not cfg.is_linear():
-            raise ValueError("linear configuration required")
-        return cls(cfg.labels, cfg.axes, tuple(o.sequence() for o in cfg.orders))
-
-    def drop(self, label, axis_index: int) -> "_Lin":
-        return _Lin(
-            _without(self.labels, self.labels.index(label)),
-            _without(self.axes, axis_index),
-            tuple(_without(seq, seq.index(label)) for seq in _without(self.seqs, axis_index)),
-        )
-
-    def diff(self, e, f, axis_index: int) -> FormalSign:
-        """Sign of ``x_{e} - x_{f}`` on the axis, definite for linear orders."""
-        seq = self.seqs[axis_index]
-        return FormalSign.PLUS if seq.index(f) < seq.index(e) else FormalSign.MINUS
-
-
-def _without(items: tuple, index: int) -> tuple:
-    return items[:index] + items[index + 1 :]
-
-
-def _relation(a: tuple, b: tuple):
-    """``"equal"`` or ``"reversed"`` when the two sequences are, else None."""
-    if a == b:
-        return "equal"
-    if a == b[::-1]:
-        return "reversed"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +286,6 @@ def _expansion_verdict(lin: _Lin) -> FixityVerdict:
 # extreme-element non-fixity
 
 
-def _lemma_certificate(lin: _Lin):
-    """Certificate of a chain of extreme-label removals (each with one
-    axis) ending at an equal-or-reversed pair of 3-label orderings, or
-    None when there is no such chain."""
-    if len(lin.labels) == 3:
-        relation = _relation(*lin.seqs)
-        if relation is None:
-            return None
-        return {
-            "type": "extreme_lemma",
-            "steps": [],
-            "base": {"type": "dim2_non_fixed", "relation": relation},
-        }
-    for a, seq in enumerate(lin.seqs):
-        for e, kind in ((seq[0], "min"), (seq[-1], "max")):
-            cert = _lemma_certificate(lin.drop(e, a))
-            if cert is not None:
-                cert["steps"].insert(0, {"label": e, "axis": lin.axes[a], "extreme": kind})
-                return cert
-    return None
-
-
 def _walk_chain(lin: _Lin, cert: dict):
     """Follow an extreme-removal certificate from ``lin``.
 
@@ -406,46 +333,6 @@ def _lemma_verdict(lin: _Lin) -> FixityVerdict:
 # the ray-determinant criterion
 
 
-@lru_cache(maxsize=None)
-def _wedge_plans(n: int) -> tuple:
-    """Laplace steps for growing the minors of a padded n x n matrix row by
-    row.  ``plans[level][c]`` lists ``(s, sign, p)``: when column ``c`` of
-    row ``level + 1`` goes from 0 to 1, the minor on the ``level + 2``
-    column subset number ``s`` changes by ``sign`` times the minor of the
-    first ``level + 1`` rows on subset number ``p`` (subsets numbered in
-    :func:`itertools.combinations` order)."""
-    plans = []
-    for level in range(n - 1):
-        index = {sub: i for i, sub in enumerate(combinations(range(n), level + 1))}
-        plan = [[] for _ in range(n)]
-        for s, sub in enumerate(combinations(range(n), level + 2)):
-            for j, c in enumerate(sub):
-                sign = -1 if (level + 1 + j) % 2 else 1
-                plan[c].append((s, sign, index[sub[:j] + sub[j + 1 :]]))
-        plans.append(tuple(tuple(steps) for steps in plan))
-    return tuple(plans)
-
-
-def _filters(seq: tuple, pairs) -> list:
-    """The proper nonempty up-sets of an axis ordering given by its pairs
-    and one of its linear extensions ``seq``: smallest first, ties in
-    the order of their position masks, each listed in the order of
-    ``seq``.  A chain's are its suffixes in size order."""
-    n = len(seq)
-    pos = {lab: i for i, lab in enumerate(seq)}
-    below = [0] * n
-    for e, f in pairs:
-        below[pos[f]] |= 1 << pos[e]
-    # down-sets as position masks: seq[i] may join one that holds all the
-    # labels below it, which all come earlier in seq
-    downs = [0]
-    for i in range(n):
-        downs += [d | 1 << i for d in downs if not below[i] & ~d]
-    full = (1 << n) - 1
-    ups = sorted((full ^ d for d in downs if 0 < d < full), key=lambda m: (m.bit_count(), m))
-    return [tuple(seq[i] for i in range(n) if m >> i & 1) for m in ups]
-
-
 def _chain_filters(lin: _Lin) -> list:
     """Per axis, the suffixes of a linear configuration's chain."""
     return [_filters(seq, zip(seq, seq[1:])) for seq in lin.seqs]
@@ -457,83 +344,11 @@ def _partial_filters(cfg: Configuration) -> list:
     return [_filters(o.first_extension(), o.pairs) for o in cfg.orders]
 
 
-def _order_parts(order: Ordering) -> tuple:
-    """An ordering's first extension and the :func:`_ray_steps` of its
-    filters in that order, columns in label order, listed once per shape:
-    the ordering renamed to positions in the extension, one of 2^(n-1)
-    for a weak order on n labels."""
-    seq = order.first_extension()
-    at = {lab: i for i, lab in enumerate(seq)}
-    column = [order.labels.index(lab) for lab in seq]
-    shape = _shape_steps(frozenset((at[e], at[f]) for e, f in order.pairs), len(seq))
-    return seq, [([column[i] for i in enter], [column[i] for i in leave]) for enter, leave in shape]
-
-
-@lru_cache(maxsize=None)
-def _shape_steps(pairs: frozenset, n: int) -> list:
-    return _ray_steps(range(n), _filters(range(n), pairs))
-
-
-def _ray_steps(labels: tuple, axis_gens: Sequence) -> list:
-    """Per generator of one axis, in order, ``(entering, leaving)``: the
-    columns (positions in ``labels``) of the labels it holds that the
-    generator before it (none for the first) does not, and the reverse.
-    One label enters per step for a chain's suffixes in size order."""
-    column = {lab: i for i, lab in enumerate(labels)}
-    return [
-        ([column[lab] for lab in gen if lab not in prev], [column[lab] for lab in prev if lab not in gen])
-        for prev, gen in zip([(), *axis_gens], axis_gens)
-    ]
-
-
 def _ray_search(labels: tuple, gens: Sequence) -> dict:
-    """Determinant signs of every tuple of one generator per axis.
-
-    ``gens[a]`` lists axis ``a``'s generators as label tuples, the
-    indicator vectors of its filters; a tuple is its list of generator
-    indices, and tuples are visited in lexicographic order.  Returns
-    ``{sign: indices}`` for the first tuple of each nonzero sign met,
-    stopping as soon as both are; see :func:`_ray_pass`.
-    """
+    """:func:`~simplexfix.criteria._ray_pass` over generators given as
+    label tuples: ``gens[a]`` lists axis ``a``'s generators, the indicator
+    vectors of its filters."""
     return _ray_pass(len(labels), [_ray_steps(labels, axis_gens) for axis_gens in gens])
-
-
-def _ray_pass(n: int, steps: Sequence) -> dict:
-    """:func:`_ray_search` over per-axis :func:`_ray_steps` of ``n``
-    columns.  The minors of each prefix (the padding row of ones, then
-    one row per axis so far) are shared by every tuple extending it, and
-    stepping an axis to its next generator updates only the minors on
-    column sets holding a column that enters or leaves.  A prefix whose
-    minors all vanish has dependent rows, so no tuple extending it is
-    visited."""
-    plans = _wedge_plans(n)
-    chosen = [0] * (n - 1)
-    found = {}
-
-    def extend(level, prev):
-        plan = plans[level]
-        cur = [0] * comb(n, level + 2)
-        for k, (enter, leave) in enumerate(steps[level]):
-            for c in enter:
-                for i, sign, p in plan[c]:
-                    cur[i] += sign * prev[p]
-            for c in leave:
-                for i, sign, p in plan[c]:
-                    cur[i] -= sign * prev[p]
-            chosen[level] = k
-            if level + 2 < n:
-                if any(cur) and extend(level + 1, cur):
-                    return True
-            elif cur[0]:
-                d = 1 if cur[0] > 0 else -1
-                if d not in found:
-                    found[d] = list(chosen)
-                    if len(found) == 2:
-                        return True
-        return False
-
-    extend(0, [1] * n)
-    return found
 
 
 def _ray_choice(axes: tuple, gens: Sequence, named: Mapping) -> list:
@@ -558,26 +373,6 @@ def _ray_rows(labels: tuple, ups: Sequence) -> list:
         base = labels[0] in up
         rows.append([(lab in up) - base for lab in labels[1:]])
     return rows
-
-
-def _ray_status(n: int, steps: Sequence) -> tuple:
-    """``(status, sign, found)`` of :func:`_ray_pass` over ``steps``:
-    fixed with the one sign met, or non-fixed when both are."""
-    found = _ray_pass(n, steps)
-    if not found:
-        raise InternalCheckError("the satisfying region is open, so some ray determinant is nonzero")
-    if len(found) == 2:
-        return Status.NON_FIXED, ConfigSign.BOTH, found
-    return Status.FIXED, ConfigSign(next(iter(found))), found
-
-
-def _pattern_status(labels: tuple, axes: tuple, parts: Sequence) -> tuple:
-    """``(status, sign)`` of the configuration whose orderings have the
-    :func:`_order_parts` ``parts``: non-fixed when their first extensions
-    have a chain of extreme removals, else by the ray pass over filters."""
-    if _lemma_certificate(_Lin(labels, axes, tuple(seq for seq, _ in parts))) is not None:
-        return Status.NON_FIXED, ConfigSign.BOTH
-    return _ray_status(len(labels), [steps for _, steps in parts])[:2]
 
 
 def _ray_verdict(cfg, gens: Sequence) -> FixityVerdict:
@@ -736,7 +531,7 @@ def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
         return _crosscheck_dim3(lin)
     # four or more labels: decide the canonical representative once and
     # transport its verdict
-    canon, src, sigma, revs, parity = equivalence.canonical(equivalence.encode(lin.labels, lin.seqs), n)
+    canon, src, sigma, revs, parity = canonical(encode(lin.labels, lin.seqs), n)
     verdict, rep_payload = _decide_class(canon, n)
     cert = {
         "type": "equivalent",
@@ -754,8 +549,8 @@ def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
 def _decide_class(canon: bytes, n: int) -> tuple:
     """(verdict, representative payload) of the class of ``n >= 4``
     labels whose canonical code is ``canon``."""
-    labels = equivalence.default_labels(n)
-    rep = _Lin(labels, equivalence.default_axes(n - 1), equivalence.decode(canon, labels))
+    labels = default_labels(n)
+    rep = _Lin(labels, default_axes(n - 1), decode(canon, labels))
     if n == 4:
         verdict = _dim3_verdict(rep)
     else:
@@ -987,7 +782,7 @@ def _witness_through(lin: _Lin, cert: dict):
         }
         for values in _witness_values_linear(rep, cert["inner"])
     ]
-    return tuple(pair) if equivalence.sign_parity(g) is FormalSign.PLUS else tuple(pair[::-1])
+    return tuple(pair) if sign_parity(g) is FormalSign.PLUS else tuple(pair[::-1])
 
 
 def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> WitnessPair:
@@ -1081,14 +876,14 @@ def _unwrap(lin: _Lin, cert: Mapping):
     """The group element and representative of an ``equivalent``
     certificate, or None when the element does not map ``lin`` onto the
     representative; ValueError when either is malformed."""
-    g = equivalence.GroupElement(
+    g = GroupElement(
         tuple(cert["axis_source"]),
         tuple(cert["label_perm"]),
         tuple(bool(b) for b in cert["reversals"]),
     )
     rep = _representative(cert["representative"])
-    image = equivalence.act(g, equivalence.encode(lin.labels, lin.seqs), len(lin.labels))
-    return (g, rep) if image == equivalence.encode(rep.labels, rep.seqs) else None
+    image = act(g, encode(lin.labels, lin.seqs), len(lin.labels))
+    return (g, rep) if image == encode(rep.labels, rep.seqs) else None
 
 
 def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
@@ -1134,7 +929,7 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         if unwrapped is None:
             return False
         g, rep = unwrapped
-        parity = equivalence.sign_parity(g)
+        parity = sign_parity(g)
         if cert["parity"] != str(parity):
             return False
         inner_sign = None

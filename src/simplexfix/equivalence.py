@@ -41,6 +41,7 @@ from itertools import chain, combinations_with_replacement, permutations
 from math import factorial, prod
 from typing import Iterable, Sequence
 
+from .criteria import default_axes, default_labels
 from .orders import Configuration, Ordering
 from .signs import FormalSign
 
@@ -263,17 +264,6 @@ def orbit_size(cfg: Configuration) -> int:
         if cand == best
     )
     return factorial(k) * factorial(n) * 2**k // stabilizer
-
-
-def default_labels(n: int) -> tuple:
-    if n <= 26:
-        return tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])
-    return tuple(f"e{i + 1}" for i in range(n))
-
-
-def default_axes(k: int) -> tuple:
-    names = ("x", "y", "z")
-    return tuple(names[i] if i < 3 else f"axis{i + 1}" for i in range(k))
 
 
 def enumerate_classes(n: int, allow_long: bool = False) -> list:

@@ -478,7 +478,8 @@ def test_ray_search_matches_one_determinant_per_tuple():
 
 
 def test_order_parts_from_shapes_match_each_ordering_and_decide():
-    from simplexfix.engine import _filters, _order_parts, _pattern_status, _ray_steps, _ray_verdict
+    from simplexfix.criteria import _filters, _order_parts, _pattern_status, _ray_steps
+    from simplexfix.engine import _ray_verdict
 
     rng = random.Random(43)
     for n, count in ((3, 40), (4, 60), (5, 30), (6, 10)):

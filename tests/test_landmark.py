@@ -1,6 +1,7 @@
 """Point clouds, derived configurations, and the subset scan."""
 
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -19,10 +20,10 @@ from simplexfix import (
     satisfies,
     scan,
 )
-from simplexfix import engine, landmark
+from simplexfix import criteria, engine, landmark
 from simplexfix.cli import main
 from simplexfix.equivalence import default_labels
-from simplexfix.landmark import jitter
+from simplexfix.landmark import MAX_EXPONENT, jitter
 from scan_reference import grid_cloud_csv, reference_scan_output
 
 
@@ -188,6 +189,19 @@ def test_csv_parsing_and_errors():
         PointCloud.from_csv("")
 
 
+def test_csv_exponent_beyond_the_limit_fails_fast():
+    # Fraction("1e999999999") would build 10**999999999 for minutes
+    assert PointCloud.from_csv(f"label,x\nP,1e-{MAX_EXPONENT}\nQ,2.5E+{MAX_EXPONENT}\n").value("Q", "x") == (
+        Fraction(5, 2) * 10**MAX_EXPONENT
+    )
+    for cell in ("1e999999999", f"1E-{MAX_EXPONENT + 1}", "-0.5e1_000_000", "1e" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(InputFormatError, match=f"exceeds {MAX_EXPONENT}") as err:
+            PointCloud.from_csv(f"label,x,y\nP,0,1\nQ,1,{cell}\nR,2,2\n")
+        assert time.perf_counter() - start < 0.1
+        assert (err.value.line, err.value.column) == (3, 3)
+
+
 def test_scan_needs_enough_points():
     tiny = PointCloud.from_points({"A": (0, 0, 0), "B": (1, 1, 1)})
     with pytest.raises(ValueError):
@@ -255,7 +269,7 @@ def test_scan_decides_each_distinct_pattern_once(monkeypatch):
     cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=2))
     patterns = set(_renamed_patterns(cloud))
     decided, searched = [], []
-    real_status, real_search = landmark._pattern_status, engine._ray_status
+    real_status, real_search = landmark._pattern_status, criteria._ray_status
 
     def counted_status(labels, axes, parts):
         decided.append(parts)
@@ -266,7 +280,7 @@ def test_scan_decides_each_distinct_pattern_once(monkeypatch):
         return real_search(n, steps)
 
     monkeypatch.setattr(landmark, "_pattern_status", counted_status)
-    monkeypatch.setattr(engine, "_ray_status", counted_search)
+    monkeypatch.setattr(criteria, "_ray_status", counted_search)
     report = scan(cloud)
     assert len(report.results) == 210
     assert len(decided) == len(patterns) < 210 / 2
@@ -298,19 +312,19 @@ def test_scan_computes_first_extension_and_filters_once_per_weak_order(monkeypat
 def test_scan_decides_nothing_until_a_verdict_is_read(monkeypatch):
     cloud = PointCloud.from_csv(grid_cloud_csv(2, points=10, grid=3))
     decided = []
-    real = landmark.decide
+    real = engine.decide
 
     def counted(cfg):
         decided.append(cfg)
         return real(cfg)
 
-    monkeypatch.setattr(landmark, "decide", counted)
+    monkeypatch.setattr(engine, "decide", counted)
     monkeypatch.setattr(engine, "_decide_lin", lambda *args: pytest.fail("the scan decided a linear input"))
     assert len(list(landmark.json_lines(cloud))) == 211
     results = list(landmark.iter_scan(cloud))
     assert decided == []
     monkeypatch.undo()
-    monkeypatch.setattr(landmark, "decide", counted)
+    monkeypatch.setattr(engine, "decide", counted)
     verdict = results[7].verdict
     assert decided == [derive_configuration(cloud, results[7].labels)]
     assert (verdict.status, verdict.sign) == (results[7].status, results[7].sign)
