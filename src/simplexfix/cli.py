@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--debug-crosscheck",
         action="store_true",
-        help="at n=4, verify the three characterizations agree",
+        help="at n=4, also check that the three characterizations agree; the output is unchanged",
     )
 
     p = sub.add_parser("extensions", help="list the linear extensions of a configuration")

@@ -26,10 +26,10 @@ nonempty up-sets; Stanley, "Two poset polytopes"), the suffixes of a
 chain.  So the configuration is fixed iff the determinants of all tuples
 of one filter per axis share a weak sign (they cannot all vanish, as the
 satisfying region is open), and non-fixed as soon as one tuple is
-positive and one negative.  A partial configuration first decides its
-first linear extension, whose region lies inside its own: most are
-non-fixed there, and the filter pass runs only when that extension is
-fixed.
+positive and one negative.  A partial configuration is decided as the
+landmark scan decides a pattern: a chain of extreme removals in its first
+linear extension, whose region lies inside its own, certifies it
+non-fixed, and otherwise the filter pass decides.
 
 Verdicts carry replayable certificates (plain dicts, JSON-ready).  The
 memo table for n >= 4 is keyed by canonical code (see
@@ -42,8 +42,8 @@ Configuration and Ordering are boundary types: they validate input and
 carry the public API.  Past that boundary every path works on label
 sequences: ``_Lin``, the per-axis sequences of a linear configuration,
 and for partial input the first extension and the filters read off its
-pairs.  One dispatch (``_decide_lin``) decides inputs, expansion
-children, representatives and first extensions; one walker
+pairs.  One dispatch (``_decide_lin``) decides linear inputs, expansion
+children and representatives; one walker
 (``_walk_chain``) follows and checks extreme-removal chains for witnesses
 and replay; one ray pass (``_ray_pass``) serves chains, partial orders
 and the landmark scan's patterns; replay compares codes under the group
@@ -474,22 +474,18 @@ def crosscheck_dim3(cfg: Configuration) -> FixityVerdict:
 
 
 def _crosscheck_dim3(lin: _Lin) -> FixityVerdict:
-    direct = _dim3_verdict(lin)
+    direct = _dim3_fixed_search(lin) is not None
     by_expansion = _expansion_verdict(lin)
     by_lemma = _lemma_verdict(lin)
-    ok = (
-        (direct.status is Status.FIXED)
-        == (by_expansion.status is Status.FIXED)
-        == (by_lemma.status is Status.UNKNOWN)
-    )
-    if ok and direct.status is Status.FIXED and direct.sign is not by_expansion.sign:
-        ok = False
-    if not ok:
+    if not direct == (by_expansion.status is Status.FIXED) == (by_lemma.status is Status.UNKNOWN):
         raise CrossCheckError(
-            f"dim-3 characterizations disagree: direct={direct.status.value}, "
+            f"dim-3 characterizations disagree: direct={'fixed' if direct else 'non_fixed'}, "
             f"expansion={by_expansion.status.value}, lemma={by_lemma.status.value}"
         )
-    return direct
+    verdict = _dim3_verdict(lin)
+    if direct and verdict.sign is not by_expansion.sign:
+        raise CrossCheckError("dim-3 direct and expansion signs disagree")
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +513,15 @@ def _copy_tree(node):
     return [_copy_tree(value) for value in node] if type(node) is list else node
 
 
-def _decide_lin(lin: _Lin, debug_crosscheck: bool = False) -> FixityVerdict:
+def _decide_lin(lin: _Lin) -> FixityVerdict:
     """Decide a linear configuration: two and three labels directly, four
-    or more through the memo, or at n = 4 with ``debug_crosscheck`` by all
-    three characterizations."""
+    or more through the memo."""
     n = len(lin.labels)
     if n == 2:
         sign = ConfigSign.PLUS if lin.seqs[0][0] == lin.labels[0] else ConfigSign.MINUS
         return FixityVerdict(Status.FIXED, sign, {"type": "dim1", "sign": str(sign)})
     if n == 3:
         return _dim2_verdict(lin)
-    if debug_crosscheck and n == 4:
-        return _crosscheck_dim3(lin)
     # four or more labels: decide the canonical representative once and
     # transport its verdict
     canon, src, sigma, revs, parity = canonical(encode(lin.labels, lin.seqs), n)
@@ -578,29 +571,37 @@ def decide(
 
     Linear inputs of n >= 5 labels are decided by the extreme-element
     lemma, then the cofactor expansion, then the ray-determinant
-    criterion.  A partial input first decides its first linear extension
-    (per axis, the first label in label order with no remaining
-    predecessor): a non-fixed one certifies ``extension``, since its
-    region lies inside the input's.  Otherwise the ray criterion runs over
-    each axis's filters, its proper nonempty up-sets, whose indicator
-    vectors generate the axis's satisfying coordinates as they do for a
-    chain.  Every verdict is FIXED or NON_FIXED; ``frontier_samples`` has
-    no effect; the certificate is the caller's own copy.  Raises
-    ValueError above :data:`MAX_LABELS` labels.
+    criterion.  A partial input is decided as a landmark scan decides a
+    pattern: when its first linear extension (per axis, the first label
+    in label order with no remaining predecessor) has a chain of extreme
+    removals, it certifies ``extension`` with that chain, since the
+    extension's region lies inside the input's.  Otherwise the ray
+    criterion runs over each axis's filters, its proper nonempty up-sets,
+    whose indicator vectors generate the axis's satisfying coordinates as
+    they do for a chain.  With ``debug_crosscheck`` a four-label input, or
+    a partial one's four-label first extension, is also decided by the
+    three n = 4 characterizations, and :class:`CrossCheckError` is raised
+    if they or the verdict disagree; the verdict is unchanged.  Every
+    verdict is FIXED or NON_FIXED; ``frontier_samples`` has no effect; the
+    certificate is the caller's own copy.  Raises ValueError above
+    :data:`MAX_LABELS` labels.
     """
     check_size(cfg.n())
-    if cfg.is_linear():
-        return _handed_out(_decide_lin(_Lin.of(cfg), debug_crosscheck))
-    first = _Lin(cfg.labels, cfg.axes, tuple(o.first_extension() for o in cfg.orders))
-    verdict = _decide_lin(first, debug_crosscheck)
-    if verdict.status is Status.NON_FIXED:
-        cert = {
-            "type": "extension",
-            "orders": {a: list(seq) for a, seq in zip(first.axes, first.seqs)},
-            "inner": verdict.certificate,
-        }
-        return _handed_out(FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert))
-    return _ray_verdict(cfg, _partial_filters(cfg))
+    linear = cfg.is_linear()
+    seqs = tuple(o.sequence() if linear else o.first_extension() for o in cfg.orders)
+    lin = _Lin(cfg.labels, cfg.axes, seqs)
+    # checked first, so a split is reported before the memo's own checks
+    checked = _crosscheck_dim3(lin) if debug_crosscheck and cfg.n() == 4 else None
+    if not linear:
+        chain = _lemma_certificate(lin)
+        if chain is None:
+            return _ray_verdict(cfg, _partial_filters(cfg))
+        cert = {"type": "extension", "orders": dict(zip(cfg.axes, map(list, seqs))), "inner": chain}
+        return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
+    verdict = _handed_out(_decide_lin(lin))
+    if checked is not None and (checked.status, checked.sign) != (verdict.status, verdict.sign):
+        raise CrossCheckError("the n = 4 characterizations and the memo disagree")
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +795,7 @@ def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> W
     ``ray_pair`` certificate is followed (and validated) instead of
     searching afresh; the search tries an extreme-removal chain, then the
     ray criterion.  Partial input follows its certificate, ``decide``'s
-    when none is given: the witness of the named linear extension, or the
+    when none is given: the chain of the named linear extension, or the
     filter weights of a ``ray_pair``.  Raises :class:`NotNonFixedError`
     when the configuration is fixed, ValueError above :data:`MAX_LABELS`
     labels.
@@ -810,7 +811,7 @@ def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> W
             ext = _extension(cfg, cert)
             if ext is None:
                 raise ValueError("certificate invalid: the extension does not contain the input orders")
-            plus, minus = _witness_values_linear(ext)
+            plus, minus = _witness_values_linear(ext, cert["inner"])
         elif cert["type"] == "ray_pair":
             plus, minus = _ray_witness(cfg, _partial_filters(cfg), cert)
         else:

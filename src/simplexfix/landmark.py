@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import json
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -37,26 +36,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .configio import InputFormatError
 from .criteria import Status, _order_parts, _pattern_status, check_size, default_axes, default_labels
-from .orders import Configuration, Ordering, PointAssignment
+from .orders import Configuration, Ordering, PointAssignment, _as_fraction
 from .signs import ConfigSign
 
 if TYPE_CHECKING:
     from .engine import FixityVerdict
-
-#: largest decimal exponent magnitude a CSV coordinate may carry, as many
-#: as the digits Python allows in an int string: ``Fraction("1e999999999")``
-#: builds ``10**999999999`` and runs for minutes
-MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[-+]?[0-9_]*\.?[0-9_]*[eE][-+]?([0-9_]+)")
-
-
-def _exponent_too_large(cell: str) -> bool:
-    match = _EXPONENT.fullmatch(cell)
-    if match is None:
-        return False
-    digits = match[1].replace("_", "").lstrip("0")
-    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT
-
 
 class PointCloud(PointAssignment):
     """Distinct labels, each with exactly one coordinate per axis, and at
@@ -86,7 +70,8 @@ class PointCloud(PointAssignment):
         """Parse ``label,x,y,z[,...]`` CSV; ``#`` lines are comments.
 
         Numbers are parsed exactly as rationals (decimal or ``p/q``); a
-        decimal exponent may not exceed :data:`MAX_EXPONENT` in magnitude.
+        decimal exponent may not exceed
+        :data:`~simplexfix.orders.MAX_EXPONENT` in magnitude.
         """
         if isinstance(source, str):
             text = source
@@ -123,17 +108,10 @@ class PointCloud(PointAssignment):
             values[lab] = []
             labels.append(lab)
             for col, cell in enumerate(cells[1:], start=2):
-                if _exponent_too_large(cell):
-                    raise InputFormatError(
-                        f"the exponent of {cell!r} exceeds {MAX_EXPONENT} in magnitude",
-                        line=line_no, column=col,
-                    )
                 try:
-                    values[lab].append(Fraction(cell))
-                except (ValueError, ZeroDivisionError):
-                    raise InputFormatError(
-                        f"cannot parse {cell!r} as an exact rational", line=line_no, column=col
-                    ) from None
+                    values[lab].append(_as_fraction(cell))
+                except ValueError as exc:
+                    raise InputFormatError(str(exc), line=line_no, column=col) from None
         if not labels:
             raise InputFormatError("no points in file", line=header_no)
         return cls.from_points({lab: values[lab] for lab in labels}, axes)

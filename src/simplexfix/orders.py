@@ -12,6 +12,7 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -327,9 +328,18 @@ def extension_count(cfg: Configuration) -> int:
     return count
 
 
+#: largest decimal exponent magnitude a coordinate string may carry, as
+#: many as the digits Python allows in an int string:
+#: ``Fraction("1e999999999")`` builds ``10**999999999`` and runs for minutes
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[-+]?[0-9_]*\.?[0-9_]*[eE][-+]?([0-9_]+)")
+
+
 def _as_fraction(value) -> Fraction:
     """Exact rational from int/Fraction/str; floats go through their
-    shortest decimal representation."""
+    shortest decimal representation.  A string whose decimal exponent
+    exceeds :data:`MAX_EXPONENT` in magnitude, or that is no rational, is
+    refused with a ValueError naming the problem."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -337,7 +347,14 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        match = _EXPONENT.fullmatch(value.strip())
+        digits = match[1].replace("_", "").lstrip("0") if match else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"the exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot parse {value!r} as an exact rational") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -5,9 +5,9 @@ no output byte: run it on two checkouts and compare the lines.
 
 Families:
 
-* ``decide``: decide JSON and replay result of every linear n = 3 and
-  n = 4 configuration, of seeded linear n = 5 and n = 6 ones, and of
-  seeded partial n = 3..5 ones;
+* ``decide_linear``: decide JSON and replay result of every linear n = 3
+  and n = 4 configuration and of seeded linear n = 5 and n = 6 ones;
+* ``decide_partial``: the same of seeded partial n = 3..5 ones;
 * ``witness``: witness JSON of the non-fixed ones among them, built as
   the CLI builds it (no verdict) and following ``decide``'s verdict;
 * ``sample``: ``sample_signs`` histograms over seeded configurations,
@@ -102,10 +102,11 @@ def _line(obj) -> bytes:
     return json.dumps(obj, sort_keys=True).encode() + b"\n"
 
 
-def decide_family(cfgs: list, verdicts: list) -> bytes:
+def decide_family(cfgs: list, verdicts: list, linear: bool) -> bytes:
     return b"".join(
         _line([verdict.to_json(), replay_certificate(cfg, verdict)])
         for cfg, verdict in zip(cfgs, verdicts)
+        if cfg.is_linear() is linear
     )
 
 
@@ -160,7 +161,8 @@ def main() -> int:
     cfgs = configurations()
     verdicts = [decide(cfg) for cfg in cfgs]
     families = {
-        "decide": decide_family(cfgs, verdicts),
+        "decide_linear": decide_family(cfgs, verdicts, linear=True),
+        "decide_partial": decide_family(cfgs, verdicts, linear=False),
         "witness": witness_family(cfgs, verdicts),
         "sample": sample_family(),
         "scan": scan_family(),

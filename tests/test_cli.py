@@ -53,6 +53,22 @@ def test_decide_debug_crosscheck(tmp_path, capsys):
     assert code == 0 and out == "fixed +\n"
 
 
+def test_debug_crosscheck_checks_without_changing_the_output(tmp_path, capsys, monkeypatch):
+    from simplexfix import engine
+
+    fixed = write(tmp_path, "f4.cfg", "x: B < C < A < D\ny: C < A < B < D\nz: A < B < C < D\n")
+    non_fixed = write(tmp_path, "n4.cfg", "x: A < B < C < D\ny: A < C < B < D\nz: D < B < A < C\n")
+    for path in (fixed, non_fixed):
+        plain = run(capsys, "decide", path, "--format", "json")
+        assert plain[0] == 0
+        assert run(capsys, "decide", path, "--format", "json", "--debug-crosscheck") == plain
+    # the check still runs: a direct search that misses the fixed shape
+    # splits the three characterizations
+    monkeypatch.setattr(engine, "_dim3_fixed_search", lambda lin: None)
+    with pytest.raises(engine.CrossCheckError):
+        main(["decide", fixed, "--debug-crosscheck"])
+
+
 def test_count_classes_output_and_gate(capsys):
     code, out, _ = run(capsys, "count-classes", "4")
     assert code == 0 and out == "21\n"

@@ -397,7 +397,7 @@ def _claim_case(case):
         ),
         "ray_pair": (README5, {"parity"}),
         "ray_all": (FRONTIER5, {"parity", "sign"}),
-        "partial_extension": (subset_13710(), {"parity", "extreme", "relation"}),
+        "partial_extension": (subset_13710(), {"extreme", "relation"}),
         "partial_ray_pair": (partial_n3_quartet()[1], set()),
         "partial_ray_all": (subset_2589(), {"sign"}),
     }[case]
@@ -624,7 +624,7 @@ def test_partial_with_non_fixed_first_extension_certifies_it():
     assert verdict.certificate == {
         "type": "extension",
         "orders": {"x": ["A", "B", "C"], "y": ["A", "B", "C"]},
-        "inner": {"type": "dim2_non_fixed", "relation": "equal"},
+        "inner": {"type": "extreme_lemma", "steps": [], "base": {"type": "dim2_non_fixed", "relation": "equal"}},
     }
     assert replay_certificate(cfg, verdict)
 

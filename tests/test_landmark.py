@@ -23,7 +23,8 @@ from simplexfix import (
 from simplexfix import criteria, engine, landmark
 from simplexfix.cli import main
 from simplexfix.equivalence import default_labels
-from simplexfix.landmark import MAX_EXPONENT, jitter
+from simplexfix.landmark import jitter
+from simplexfix.orders import MAX_EXPONENT
 from scan_reference import grid_cloud_csv, reference_scan_output
 
 
@@ -200,6 +201,20 @@ def test_csv_exponent_beyond_the_limit_fails_fast():
             PointCloud.from_csv(f"label,x,y\nP,0,1\nQ,1,{cell}\nR,2,2\n")
         assert time.perf_counter() - start < 0.1
         assert (err.value.line, err.value.column) == (3, 3)
+
+
+def test_library_coordinates_share_the_exponent_limit():
+    # the library path refuses what the CSV reader refuses, as fast
+    for build in (
+        lambda v: PointCloud.from_points({"A": (v, "0"), "B": ("1", "1"), "C": ("2", "0")}),
+        lambda v: PointAssignment.from_points({"A": (v,), "B": ("1",)}, ("x",)),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds {MAX_EXPONENT}"):
+            build("1e2000000")
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(ValueError, match="exact rational"):
+            build("1/0")
 
 
 def test_scan_needs_enough_points():

@@ -189,3 +189,50 @@ def test_extension_certificates_are_checked_by_position():
     ):
         with pytest.raises(ValueError, match="every label exactly once"):
             replay_certificate(cfg, tampered(verdict, edit))
+
+
+def _chain_case_n5():
+    """A seeded partial five-label configuration whose first extension
+    has a chain of extreme removals, over labels no representative uses."""
+    from simplexfix.criteria import _Lin, _lemma_certificate
+
+    names = dict(zip("ABCDE", ("p1", "p2", "p3", "p4", "p5")))
+    for cfg in seeded_partials(random.Random(53), 5, 40):
+        first = _Lin(cfg.labels, cfg.axes, tuple(o.first_extension() for o in cfg.orders))
+        if _lemma_certificate(first) is not None:
+            return Configuration.from_pairs(
+                tuple(names[lab] for lab in cfg.labels),
+                cfg.axes,
+                {axis: [(names[e], names[f]) for e, f in o.pairs] for axis, o in zip(cfg.axes, cfg.orders)},
+            )
+    raise AssertionError("no seeded input with a chain")
+
+
+def test_partial_input_is_decided_off_the_class_memo(monkeypatch):
+    # a partial input is decided as a scan decides a pattern: the chain of
+    # its first extension, built fresh on its own labels; neither decide
+    # nor the witness that follows its certificate reaches the class memo
+    # or searches for the chain again
+    from conftest import partial_n3_quartet, subset_13710
+    from simplexfix import engine
+    from simplexfix.criteria import _Lin, _lemma_certificate
+
+    def refuse(*args):
+        raise AssertionError("reached the class memo or searched again")
+
+    monkeypatch.setattr(engine, "_decide_class", refuse)
+    monkeypatch.setattr(engine, "canonical", refuse)
+    for cfg in (subset_13710(), partial_n3_quartet()[2], _chain_case_n5()):
+        verdict = decide(cfg)
+        first = _Lin(cfg.labels, cfg.axes, tuple(o.first_extension() for o in cfg.orders))
+        assert verdict.certificate == {
+            "type": "extension",
+            "orders": {axis: list(seq) for axis, seq in zip(cfg.axes, first.seqs)},
+            "inner": _lemma_certificate(first),
+        }
+        assert {step["label"] for step in verdict.certificate["inner"]["steps"]} <= set(cfg.labels)
+        assert cfg.n() == 3 or verdict.certificate["inner"]["steps"]
+        assert replay_certificate(cfg, verdict)
+        monkeypatch.setattr(engine, "_lemma_certificate", refuse)
+        assert verify_witness(build_witness(cfg, verdict), cfg)
+        monkeypatch.setattr(engine, "_lemma_certificate", _lemma_certificate)
