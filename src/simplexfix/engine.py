@@ -7,16 +7,16 @@ Decision strategy by size of the label set:
   orderings are equal or mutual reversals; otherwise the 2x2 formal
   determinant obtained by subtracting the column of the middle label of
   the first axis has a definite sign.
-* n = 4: exact combinatorial characterization -- fixed iff some choice of
-  excluded label, relabeling of the remaining triple, axis roles, and
-  reversal mask exhibits the cyclic triple pattern together with one
-  triple label uniformly comparable to the excluded one.
-* n >= 5: three sound deciders in turn.  First the extreme-element lemma:
+* n >= 4: three sound deciders in turn.  First the extreme-element lemma:
   removing an extreme label together with an axis whose induced
   sub-configuration is non-fixed certifies NON_FIXED.  Then the paper's
   cofactor expansion: a definite formal sign certifies FIXED.  At most one
   of the two can succeed; when neither does, the ray-determinant
-  criterion decides.
+  criterion decides.  At n = 4 the lemma and the expansion are complete,
+  and the paper's direct characterization (fixed iff some excluded label,
+  relabeled triple, axis roles and reversal mask show the cyclic triple
+  pattern with one triple label uniformly comparable to the excluded one)
+  is the independent check :func:`crosscheck_dim3` runs.
 
 The ray-determinant criterion decides every configuration, linear or
 partial.  The determinant is multilinear in the axis rows, and each
@@ -109,7 +109,7 @@ class FixityVerdict:
 
     ``sign`` is PLUS or MINUS for FIXED, BOTH for NON_FIXED, None for
     UNKNOWN.  :func:`decide` answers FIXED or NON_FIXED at every supported
-    size (lemma, then expansion, then the ray criterion at n >= 5); the
+    size (lemma, then expansion, then the ray criterion at n >= 4); the
     sub-deciders such as :func:`formally_fixed_by_expansion` answer
     UNKNOWN when their own certificate does not exist.
     """
@@ -440,7 +440,7 @@ def _dim3_fixed_search(lin: _Lin):
 
 
 def decide_dim3(cfg: Configuration) -> FixityVerdict:
-    """Exact n = 4 decision via the combinatorial characterization.
+    """Exact n = 4 decision by the direct characterization, a check on decide.
 
     FIXED configurations get their sign from the cofactor expansion with
     pivot (D, X); everything else is NON_FIXED with an extreme-lemma
@@ -467,7 +467,7 @@ def _dim3_verdict(lin: _Lin) -> FixityVerdict:
 
 
 def crosscheck_dim3(cfg: Configuration) -> FixityVerdict:
-    """Run the three n = 4 characterizations and insist they agree."""
+    """Insist the direct, expansion and lemma n = 4 characterizations agree."""
     if cfg.n() != 4:
         raise ValueError("crosscheck_dim3 needs exactly four labels")
     return _crosscheck_dim3(_Lin.of(cfg))
@@ -544,16 +544,14 @@ def _decide_class(canon: bytes, n: int) -> tuple:
     labels whose canonical code is ``canon``."""
     labels = default_labels(n)
     rep = _Lin(labels, default_axes(n - 1), decode(canon, labels))
-    if n == 4:
-        verdict = _dim3_verdict(rep)
-    else:
-        # lemma and expansion are sound for opposite answers, so at most
-        # one succeeds; the lemma is cheap and decides most inputs
-        verdict = _lemma_verdict(rep)
-        if verdict.status is Status.UNKNOWN:
-            verdict = _expansion_verdict(rep)
-        if verdict.status is Status.UNKNOWN:
-            verdict = _ray_verdict(rep, _chain_filters(rep))
+    # lemma and expansion are sound for opposite answers, so at most one
+    # succeeds; the lemma is cheap and decides most inputs, and at n = 4
+    # the two together decide every class
+    verdict = _lemma_verdict(rep)
+    if verdict.status is Status.UNKNOWN:
+        verdict = _expansion_verdict(rep)
+    if verdict.status is Status.UNKNOWN:
+        verdict = _ray_verdict(rep, _chain_filters(rep))
     rep_payload = {
         "labels": list(rep.labels),
         "axes": list(rep.axes),
@@ -569,19 +567,20 @@ def decide(
 ) -> FixityVerdict:
     """Decide fixity of any configuration (orderings may be partial).
 
-    Linear inputs of n >= 5 labels are decided by the extreme-element
+    Linear inputs of n >= 4 labels are decided by the extreme-element
     lemma, then the cofactor expansion, then the ray-determinant
-    criterion.  A partial input is decided as a landmark scan decides a
-    pattern: when its first linear extension (per axis, the first label
-    in label order with no remaining predecessor) has a chain of extreme
-    removals, it certifies ``extension`` with that chain, since the
-    extension's region lies inside the input's.  Otherwise the ray
-    criterion runs over each axis's filters, its proper nonempty up-sets,
-    whose indicator vectors generate the axis's satisfying coordinates as
-    they do for a chain.  With ``debug_crosscheck`` a four-label input, or
-    a partial one's four-label first extension, is also decided by the
-    three n = 4 characterizations, and :class:`CrossCheckError` is raised
-    if they or the verdict disagree; the verdict is unchanged.  Every
+    criterion, which n = 4 never needs.  A partial input is decided as a
+    landmark scan decides a pattern: when its first linear extension (per
+    axis, the first label in label order with no remaining predecessor)
+    has a chain of extreme removals, it certifies ``extension`` with that
+    chain, since the extension's region lies inside the input's.
+    Otherwise the ray criterion runs over each axis's filters, its proper
+    nonempty up-sets, whose indicator vectors generate the axis's
+    satisfying coordinates as they do for a chain.  With
+    ``debug_crosscheck`` a four-label input, or a partial one's four-label
+    first extension, is also decided by the three n = 4
+    characterizations, and :class:`CrossCheckError` is raised if they or
+    the verdict disagree; the verdict is unchanged.  Every
     verdict is FIXED or NON_FIXED; ``frontier_samples`` has no effect; the
     certificate is the caller's own copy.  Raises ValueError above
     :data:`MAX_LABELS` labels.

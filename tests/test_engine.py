@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from simplexfix import (
     decide_dim1,
     decide_dim2,
     decide_dim3,
+    enumerate_classes,
     expansion_formal_sign,
     formally_fixed_by_expansion,
     is_conformal,
@@ -494,7 +496,6 @@ def test_order_parts_from_shapes_match_each_ordering_and_decide():
 
 
 def test_ray_criterion_agrees_with_decide_at_n3_and_n4():
-    from simplexfix import enumerate_classes
     from simplexfix.engine import _chain_filters, _Lin, _ray_verdict
 
     rng = random.Random(42)
@@ -654,7 +655,26 @@ def test_crosscheck_agreement_sample():
         assert crosscheck_dim3(cfg).status is decide(cfg, debug_crosscheck=True).status
 
 
-FIXED5 = Configuration.from_sequences(
+def test_four_labels_need_neither_the_direct_search_nor_the_ray_pass(monkeypatch):
+    # at n = 4 the extreme-element lemma and the cofactor expansion decide
+    # every class, so the direct characterization stays an independent check
+    from simplexfix import engine
+
+    def unreachable(*args):
+        raise AssertionError("plain decide left the lemma and the expansion at n = 4")
+
+    engine.clear_memo()
+    monkeypatch.setattr(engine, "_dim3_fixed_search", unreachable)
+    monkeypatch.setattr(engine, "_ray_verdict", unreachable)
+    statuses = Counter()
+    for rep in enumerate_classes(4):
+        verdict = decide(rep)
+        assert replay_certificate(rep, verdict)
+        statuses[verdict.status] += 1
+    assert statuses == {Status.FIXED: 4, Status.NON_FIXED: 17}
+
+
+FIXED5 =Configuration.from_sequences(
     ("A", "B", "C", "D", "E"),
     ("x", "y", "z", "w"),
     (

@@ -16,6 +16,8 @@ from simplexfix import (
     PointCloud,
     Status,
     derive_configuration,
+    det_sign,
+    iter_scan,
     replay_certificate,
     satisfies,
     scan,
@@ -245,6 +247,26 @@ def test_generic_position_clouds_always_decide(rng):
             cloud.axes,
         )
         assert satisfies(assignment, result.configuration)
+
+
+@pytest.mark.parametrize(
+    "shape, fixed_subsets",
+    [(None, 18), ((3, 16, 8), 175), ((6, 30, 6), 1086), ((4, 20, 5, 2), 423), ((5, 14, 4, 4), 0)],
+)
+def test_fixed_scan_answers_carry_the_sign_of_their_own_coordinates(shape, fixed_subsets, cloud_csv_path):
+    # a fixed answer is a claim about every realization, the cloud's own
+    # coordinates included; shape None is the shipped cloud, the others
+    # grid_cloud_csv's (seed, points, grid[, dimension]).  The 4D cloud has
+    # no fixed subset: tests/test_class_growth.py scans fixed 4D ones
+    text = cloud_csv_path.read_text() if shape is None else grid_cloud_csv(*shape)
+    cloud = PointCloud.from_csv(text)
+    fixed = 0
+    for result in iter_scan(cloud):
+        if result.status is Status.FIXED:
+            own = PointAssignment(result.labels, cloud.axes, cloud.values)
+            assert det_sign(own).value == result.sign.value, result.labels
+            fixed += 1
+    assert fixed == fixed_subsets
 
 
 def scan_cli(capsys, path, *flags):

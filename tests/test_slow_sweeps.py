@@ -23,6 +23,8 @@ from simplexfix import (
     sample_signs,
     verify_witness,
 )
+from simplexfix.equivalence import code_of
+from class_growth import fixed_classes, grow
 from conftest import N4_LABELS, XYZ
 from scan_reference import grid_cloud_csv, reference_scan_lines
 
@@ -52,13 +54,17 @@ def test_every_fixed_four_label_configuration_survives_heavy_sampling():
 def test_five_label_census_is_exact():
     # every class decided: 36 fixed, 5,061 non-fixed, none unknown; the 22
     # classes neither the lemma nor the expansion settles are backed by
-    # sampling (ray_all) or an exact witness (ray_pair)
+    # sampling (ray_all) or an exact witness (ray_pair); the fixed classes
+    # are exactly those grown from the fixed four-label ones
     reps = enumerate_classes(5, allow_long=True)
     statuses = Counter()
     kinds = Counter()
+    fixed = set()
     for index, rep in enumerate(reps):
         verdict = decide(rep)
         statuses[verdict.status] += 1
+        if verdict.status is Status.FIXED:
+            fixed.add(code_of(rep))
         assert replay_certificate(rep, verdict)
         kind = verdict.certificate["inner"]["type"]
         if kind == "ray_all":
@@ -71,6 +77,8 @@ def test_five_label_census_is_exact():
     assert len(reps) == 5097
     assert statuses == {Status.FIXED: 36, Status.NON_FIXED: 5061}
     assert (kinds["ray_all"], kinds["ray_pair"]) == (17, 5)
+    grown = fixed_classes(grow([rep for rep, _ in fixed_classes(enumerate_classes(4))]))
+    assert fixed == {code_of(rep) for rep, _ in grown}
 
 
 # a child reports its own peak RSS (VmHWM) on stderr at exit; the
