@@ -29,7 +29,6 @@ _MODULE_OF = {
         "NotNonFixedError",
         "WitnessPair",
         "build_witness",
-        "crosscheck_dim3",
         "decide",
         "decide_dim1",
         "decide_dim2",

@@ -16,7 +16,9 @@ Decision strategy by size of the label set:
   and the paper's direct characterization (fixed iff some excluded label,
   relabeled triple, axis roles and reversal mask show the cyclic triple
   pattern with one triple label uniformly comparable to the excluded one)
-  is the independent check :func:`crosscheck_dim3` runs.
+  is an independent check: :func:`decide_dim3` runs it once beside the
+  lemma and the expansion search and raises on any split, and
+  ``decide(..., debug_crosscheck=True)`` runs the same check.
 
 The ray-determinant criterion decides every configuration, linear or
 partial.  The determinant is multilinear in the axis rows, and each
@@ -440,52 +442,38 @@ def _dim3_fixed_search(lin: _Lin):
 
 
 def decide_dim3(cfg: Configuration) -> FixityVerdict:
-    """Exact n = 4 decision by the direct characterization, a check on decide.
+    """Exact n = 4 decision by the direct characterization, checked
+    against the extreme-element lemma and the cofactor expansion.
 
     FIXED configurations get their sign from the cofactor expansion with
     pivot (D, X); everything else is NON_FIXED with an extreme-lemma
-    certificate (the lemma is complete at this size).
+    certificate (the lemma is complete at this size).  Raises
+    :class:`CrossCheckError` when the three disagree on fixity, or when
+    the expansion at (D, X) does not give the expansion search's sign.
     """
     if cfg.n() != 4:
         raise ValueError("decide_dim3 needs exactly four labels")
-    return _dim3_verdict(_Lin.of(cfg))
+    return _dim3_check(_Lin.of(cfg))
 
 
-def _dim3_verdict(lin: _Lin) -> FixityVerdict:
+def _dim3_check(lin: _Lin) -> FixityVerdict:
     found = _dim3_fixed_search(lin)
-    if found is None:
-        verdict = _lemma_verdict(lin)
-        if verdict.status is not Status.NON_FIXED:
-            raise InternalCheckError("non-fixed n=4 configuration must satisfy the extreme lemma")
-        return verdict
-    d_label, x_label = found
-    children = [_decide_lin(lin.drop(d_label, a)) for a in range(3)]
-    value = _expansion_sign(lin, d_label, x_label, children)
-    if not value.definite:
-        raise InternalCheckError("dim-3 fixed shape must yield a definite expansion sign")
-    return _expansion_fixed(lin, d_label, x_label, children, value)
-
-
-def crosscheck_dim3(cfg: Configuration) -> FixityVerdict:
-    """Insist the direct, expansion and lemma n = 4 characterizations agree."""
-    if cfg.n() != 4:
-        raise ValueError("crosscheck_dim3 needs exactly four labels")
-    return _crosscheck_dim3(_Lin.of(cfg))
-
-
-def _crosscheck_dim3(lin: _Lin) -> FixityVerdict:
-    direct = _dim3_fixed_search(lin) is not None
-    by_expansion = _expansion_verdict(lin)
+    direct = found is not None
     by_lemma = _lemma_verdict(lin)
+    by_expansion = _expansion_verdict(lin)
     if not direct == (by_expansion.status is Status.FIXED) == (by_lemma.status is Status.UNKNOWN):
         raise CrossCheckError(
             f"dim-3 characterizations disagree: direct={'fixed' if direct else 'non_fixed'}, "
             f"expansion={by_expansion.status.value}, lemma={by_lemma.status.value}"
         )
-    verdict = _dim3_verdict(lin)
-    if direct and verdict.sign is not by_expansion.sign:
+    if not direct:
+        return by_lemma
+    d_label, x_label = found
+    children = [_decide_lin(lin.drop(d_label, a)) for a in range(3)]
+    value = _expansion_sign(lin, d_label, x_label, children)
+    if value.value != by_expansion.sign.value:
         raise CrossCheckError("dim-3 direct and expansion signs disagree")
-    return verdict
+    return _expansion_fixed(lin, d_label, x_label, children, value)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +566,10 @@ def decide(
     nonempty up-sets, whose indicator vectors generate the axis's
     satisfying coordinates as they do for a chain.  With
     ``debug_crosscheck`` a four-label input, or a partial one's four-label
-    first extension, is also decided by the three n = 4
-    characterizations, and :class:`CrossCheckError` is raised if they or
-    the verdict disagree; the verdict is unchanged.  Every
+    first extension, also goes through :func:`decide_dim3`'s check, and
+    :class:`CrossCheckError` is raised if the three n = 4
+    characterizations disagree, or on linear input disagree with the
+    verdict; the verdict is unchanged.  Every
     verdict is FIXED or NON_FIXED; ``frontier_samples`` has no effect; the
     certificate is the caller's own copy.  Raises ValueError above
     :data:`MAX_LABELS` labels.
@@ -590,7 +579,7 @@ def decide(
     seqs = tuple(o.sequence() if linear else o.first_extension() for o in cfg.orders)
     lin = _Lin(cfg.labels, cfg.axes, seqs)
     # checked first, so a split is reported before the memo's own checks
-    checked = _crosscheck_dim3(lin) if debug_crosscheck and cfg.n() == 4 else None
+    checked = _dim3_check(lin) if debug_crosscheck and cfg.n() == 4 else None
     if not linear:
         chain = _lemma_certificate(lin)
         if chain is None:

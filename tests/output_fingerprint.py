@@ -10,6 +10,8 @@ Families:
 * ``decide_partial``: the same of seeded partial n = 3..5 ones;
 * ``witness``: witness JSON of the non-fixed ones among them, built as
   the CLI builds it (no verdict) and following ``decide``'s verdict;
+* ``dim3``: ``decide_dim3`` JSON of every linear n = 4 configuration,
+  the n = 4 check's own output;
 * ``sample``: ``sample_signs`` histograms over seeded configurations,
   partial and linear;
 * ``scan``: ``simplexfix scan`` output, JSON and text, plain and with
@@ -37,6 +39,7 @@ from simplexfix import (
     Status,
     build_witness,
     decide,
+    decide_dim3,
     replay_certificate,
     sample_signs,
 )
@@ -126,6 +129,10 @@ def witness_family(cfgs: list, verdicts: list) -> bytes:
     return b"".join(out)
 
 
+def dim3_family() -> bytes:
+    return b"".join(_line(decide_dim3(cfg).to_json()) for cfg in all_linear(4))
+
+
 def sample_family() -> bytes:
     cfgs = seeded_partial(3, 10, 1) + seeded_partial(4, 10, 1) + seeded_partial(5, 10, 1)
     cfgs += seeded_linear(4, 5, 1) + seeded_linear(5, 5, 1)
@@ -164,6 +171,7 @@ def main() -> int:
         "decide_linear": decide_family(cfgs, verdicts, linear=True),
         "decide_partial": decide_family(cfgs, verdicts, linear=False),
         "witness": witness_family(cfgs, verdicts),
+        "dim3": dim3_family(),
         "sample": sample_family(),
         "scan": scan_family(),
     }

@@ -18,13 +18,13 @@ import pytest
 from simplexfix import (
     ConfigSign,
     Configuration,
+    CrossCheckError,
     FixityVerdict,
     FormalSign,
     GroupElement,
     Status,
     apply,
     build_witness,
-    crosscheck_dim3,
     decide,
     decide_dim1,
     decide_dim2,
@@ -652,7 +652,36 @@ def test_crosscheck_agreement_sample():
         cfg = Configuration.from_sequences(
             N4_LABELS, XYZ, [rng.choice(perms) for _ in range(3)]
         )
-        assert crosscheck_dim3(cfg).status is decide(cfg, debug_crosscheck=True).status
+        assert decide_dim3(cfg).status is decide(cfg, debug_crosscheck=True).status
+
+
+def test_the_n4_check_runs_each_characterization_once(monkeypatch):
+    from simplexfix import engine
+
+    reps = enumerate_classes(4)
+    engine.clear_memo()
+    for rep in reps:
+        decide(rep)  # warm memo: only the check searches below
+    calls = Counter()
+    for name in ("_dim3_fixed_search", "_lemma_verdict", "_expansion_verdict"):
+        def counted(lin, _name=name, _inner=getattr(engine, name)):
+            calls[_name] += 1
+            return _inner(lin)
+
+        monkeypatch.setattr(engine, name, counted)
+    for rep in reps:
+        decide(rep, debug_crosscheck=True)
+    assert calls == {"_dim3_fixed_search": 21, "_lemma_verdict": 21, "_expansion_verdict": 21}
+    fixed = [rep for rep in reps if decide(rep).status is Status.FIXED]
+    assert len(fixed) == 4
+    for rep in fixed:
+        pivot = list(engine._dim3_fixed_search(engine._Lin.of(rep)))
+        assert decide_dim3(rep).certificate["pivot"] == pivot
+    # a direct search that misses the fixed shape is a split, not a verdict
+    monkeypatch.setattr(engine, "_dim3_fixed_search", lambda lin: None)
+    for rep in fixed:
+        with pytest.raises(CrossCheckError):
+            decide_dim3(rep)
 
 
 def test_four_labels_need_neither_the_direct_search_nor_the_ray_pass(monkeypatch):

@@ -24,7 +24,7 @@ from simplexfix import (
     verify_witness,
 )
 from simplexfix.equivalence import code_of
-from class_growth import fixed_classes, grow
+from class_growth import FIXED_SIX, classes, fixed_classes, grow, survivors
 from conftest import N4_LABELS, XYZ
 from scan_reference import grid_cloud_csv, reference_scan_lines
 
@@ -79,6 +79,26 @@ def test_five_label_census_is_exact():
     assert (kinds["ray_all"], kinds["ray_pair"]) == (17, 5)
     grown = fixed_classes(grow([rep for rep, _ in fixed_classes(enumerate_classes(4))]))
     assert fixed == {code_of(rep) for rep, _ in grown}
+
+
+@pytest.mark.slow
+def test_six_label_growth_gives_the_committed_fixed_classes():
+    # the survivor filter keeps 4,257 of 5.6 million candidates; the
+    # expansion certifies 93 of the 313 fixed classes, and 67 classes
+    # whose every extreme removal is fixed are non-fixed
+    five = [rep for rep, _ in fixed_classes(grow([rep for rep, _ in fixed_classes(enumerate_classes(4))]))]
+    candidates = survivors(five)
+    assert len(candidates) == 4257
+    grown = [(rep, decide(rep)) for rep in classes(candidates)]
+    assert len(grown) == 380
+    kinds = Counter((verdict.status, verdict.certificate["inner"]["type"]) for _, verdict in grown)
+    assert kinds == {
+        (Status.FIXED, "expansion"): 93,
+        (Status.FIXED, "ray_all"): 220,
+        (Status.NON_FIXED, "ray_pair"): 67,
+    }
+    fixed = [code_of(rep).hex() for rep, verdict in grown if verdict.status is Status.FIXED]
+    assert fixed == FIXED_SIX.read_text().split()
 
 
 # a child reports its own peak RSS (VmHWM) on stderr at exit; the
