@@ -36,9 +36,10 @@ non-fixed, and otherwise the filter pass decides.
 Verdicts carry replayable certificates (plain dicts, JSON-ready).  The
 memo table for n >= 4 is keyed by canonical code (see
 :mod:`simplexfix.equivalence`) with the sign transported through the group
-element's parity; it holds the 16,384 most recently used verdicts.
-Concurrent insert-or-get races are benign because stored values are
-canonical.
+element's parity; it holds the 16,384 most recently used classes, each as
+an int sign and its marshalled certificate (see :func:`_decide_class`),
+and each lookup unmarshals a certificate of the caller's own.  Concurrent
+insert-or-get races are benign because stored values are canonical.
 
 Configuration and Ordering are boundary types: they validate input and
 carry the public API.  Past that boundary every path works on label
@@ -61,6 +62,7 @@ and the lemma and expansion searches grow factorially.
 
 from __future__ import annotations
 
+import marshal
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -204,20 +206,20 @@ def is_conformal(cfg: Configuration, triple: Iterable, i, j) -> bool:
 # cofactor expansion
 
 
-def _expansion_sign(lin: _Lin, e_i, e_j, children: Sequence[FixityVerdict]) -> FormalSign:
+def _expansion_sign(lin: _Lin, e_i, e_j, signs: Sequence[int]) -> FormalSign:
     """Formal sign of the expansion of the determinant w.r.t. (e_i, e_j).
 
-    ``children[k]`` is the verdict on the sub-configuration dropping
-    ``e_i`` and axis ``k``; a child that is not fixed collapses the sign.
+    ``signs[k]`` is the sign of the sub-configuration dropping ``e_i`` and
+    axis ``k``, 0 when it is not fixed, which collapses the sign.
     """
     i = lin.labels.index(e_i) + 1
     total = 0
-    for k, child in enumerate(children):
-        if child.status is not Status.FIXED:
+    for k, child in enumerate(signs):
+        if not child:
             return FormalSign.UNKNOWN
         # (-1)^(i + (k+1) + 1) for 1-based axis position k+1
         parity = 1 if (i + k) % 2 == 0 else -1
-        term = parity * lin.diff(e_i, e_j, k).value * child.sign.value
+        term = parity * lin.diff(e_i, e_j, k).value * child
         if total and term != total:
             return FormalSign.UNKNOWN
         total = term
@@ -233,28 +235,31 @@ def expansion_formal_sign(cfg: Configuration, e_i, e_j, child_verdicts: Mapping)
     """
     if e_i == e_j:
         raise ValueError("pivot labels must differ")
-    return _expansion_sign(_Lin.of(cfg), e_i, e_j, [child_verdicts[a] for a in cfg.axes])
+    verdicts = [child_verdicts[a] for a in cfg.axes]
+    signs = [v.sign.value if v.status is Status.FIXED else 0 for v in verdicts]
+    return _expansion_sign(_Lin.of(cfg), e_i, e_j, signs)
 
 
-def _expansion_fixed(lin: _Lin, e_i, e_j, children, value: FormalSign) -> FixityVerdict:
-    """FIXED verdict with the certificate of a definite expansion sign."""
-    pivot_index = lin.labels.index(e_i) + 1
-    cert = {
-        "type": "expansion",
-        "pivot": [e_i, e_j],
-        "terms": [
-            {
-                "axis": lin.axes[a],
-                "parity": "+" if (pivot_index + a) % 2 == 0 else "-",
-                "diff": str(lin.diff(e_i, e_j, a)),
-                "child_status": child.status.value,
-                "child_sign": str(child.sign) if child.sign else None,
-                "child": child.certificate,
-            }
-            for a, child in enumerate(children)
-        ],
-        "sign": str(FormalSign(value.value)),
+def _expansion_term(lin: _Lin, e_i, e_j, a: int, child_sign: int) -> dict:
+    """Term ``a`` of a definite expansion's certificate but for the child's
+    own certificate; every child of a definite expansion is fixed."""
+    return {
+        "axis": lin.axes[a],
+        "parity": "+" if (lin.labels.index(e_i) + 1 + a) % 2 == 0 else "-",
+        "diff": str(lin.diff(e_i, e_j, a)),
+        "child_status": Status.FIXED.value,
+        "child_sign": str(ConfigSign(child_sign)),
     }
+
+
+def _expansion_fixed(lin: _Lin, e_i, e_j, signs: Sequence[int], value: FormalSign) -> FixityVerdict:
+    """FIXED verdict with the certificate of a definite expansion sign;
+    the children's certificates are built here, for this pivot only."""
+    terms = [
+        {**_expansion_term(lin, e_i, e_j, a, s), "child": _decide_lin(lin.drop(e_i, a)).certificate}
+        for a, s in enumerate(signs)
+    ]
+    cert = {"type": "expansion", "pivot": [e_i, e_j], "terms": terms, "sign": str(value)}
     return FixityVerdict(Status.FIXED, ConfigSign(value.value), cert)
 
 
@@ -263,24 +268,24 @@ def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
 
     Sound for FIXED at every n; complete at n <= 4.  Children are decided
     exactly.  Returns UNKNOWN when every pivot collapses.  The certificate
-    is the caller's own copy, as :func:`decide`'s is.
+    is the caller's own, as :func:`decide`'s is.
     """
     if cfg.n() < 3:
         raise ValueError("expansion needs at least three labels")
-    return _handed_out(_expansion_verdict(_Lin.of(cfg)))
+    return _expansion_verdict(_Lin.of(cfg))
 
 
 def _expansion_verdict(lin: _Lin) -> FixityVerdict:
     for e_i in lin.labels:
-        children = [_decide_lin(lin.drop(e_i, a)) for a in range(len(lin.axes))]
-        if not any(v.status is Status.FIXED for v in children):
+        signs = [_lin_sign(lin.drop(e_i, a)) for a in range(len(lin.axes))]
+        if not all(signs):
             continue
         for e_j in lin.labels:
             if e_j == e_i:
                 continue
-            value = _expansion_sign(lin, e_i, e_j, children)
+            value = _expansion_sign(lin, e_i, e_j, signs)
             if value.definite:
-                return _expansion_fixed(lin, e_i, e_j, children, value)
+                return _expansion_fixed(lin, e_i, e_j, signs, value)
     return FixityVerdict(Status.UNKNOWN, None, None)
 
 
@@ -469,17 +474,17 @@ def _dim3_check(lin: _Lin) -> FixityVerdict:
     if not direct:
         return by_lemma
     d_label, x_label = found
-    children = [_decide_lin(lin.drop(d_label, a)) for a in range(3)]
-    value = _expansion_sign(lin, d_label, x_label, children)
+    signs = [_lin_sign(lin.drop(d_label, a)) for a in range(3)]
+    value = _expansion_sign(lin, d_label, x_label, signs)
     if value.value != by_expansion.sign.value:
         raise CrossCheckError("dim-3 direct and expansion signs disagree")
-    return _expansion_fixed(lin, d_label, x_label, children, value)
+    return _expansion_fixed(lin, d_label, x_label, signs, value)
 
 
 # ---------------------------------------------------------------------------
 # the decider
 
-#: verdicts kept, by canonical code; the least recently used goes first
+#: classes kept, by canonical code; the least recently used goes first
 #: once the bound is reached, so a long run of distinct inputs keeps
 #: memory flat
 _MEMO_SIZE = 1 << 14
@@ -489,16 +494,14 @@ def clear_memo() -> None:
     _decide_class.cache_clear()
 
 
-def _handed_out(verdict: FixityVerdict) -> FixityVerdict:
-    """The verdict with fresh copies of its certificate's dicts and lists,
-    which inside the engine are shared with the memo's verdicts."""
-    return FixityVerdict(verdict.status, verdict.sign, _copy_tree(verdict.certificate))
-
-
-def _copy_tree(node):
-    if type(node) is dict:
-        return {key: _copy_tree(value) for key, value in node.items()}
-    return [_copy_tree(value) for value in node] if type(node) is list else node
+def _lin_sign(lin: _Lin) -> int:
+    """The sign of :func:`_decide_lin`'s verdict as an int, 0 when it is
+    not fixed; above three labels it is read from the memo alone."""
+    n = len(lin.labels)
+    if n < 4:
+        return _decide_lin(lin).sign.value
+    canon, _, _, _, parity = canonical(encode(lin.labels, lin.seqs), n)
+    return parity * _decide_class(canon, n)[0]
 
 
 def _decide_lin(lin: _Lin) -> FixityVerdict:
@@ -513,23 +516,31 @@ def _decide_lin(lin: _Lin) -> FixityVerdict:
     # four or more labels: decide the canonical representative once and
     # transport its verdict
     canon, src, sigma, revs, parity = canonical(encode(lin.labels, lin.seqs), n)
-    verdict, rep_payload = _decide_class(canon, n)
+    sign, inner = _decide_class(canon, n)
+    labels = default_labels(n)
     cert = {
         "type": "equivalent",
         "axis_source": list(src),
         "label_perm": list(sigma),
         "reversals": list(revs),
         "parity": str(FormalSign(parity)),
-        "representative": rep_payload,
-        "inner": verdict.certificate,
+        "representative": {
+            "labels": list(labels),
+            "axes": list(default_axes(n - 1)),
+            "sequences": [list(seq) for seq in decode(canon, labels)],
+        },
+        "inner": marshal.loads(inner),
     }
-    return FixityVerdict(verdict.status, ConfigSign(parity * verdict.sign.value), cert)
+    return FixityVerdict(Status.FIXED if sign else Status.NON_FIXED, ConfigSign(parity * sign), cert)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _decide_class(canon: bytes, n: int) -> tuple:
-    """(verdict, representative payload) of the class of ``n >= 4``
-    labels whose canonical code is ``canon``."""
+    """(sign, marshalled certificate) of the class of ``n >= 4`` labels
+    whose canonical code is ``canon``: +1 or -1 when fixed, else 0.  The
+    garbage collector tracks neither, so its full passes skip the memo.
+    Marshal only serves this in-process memo, on certificates built here;
+    nothing is read from input or disk."""
     labels = default_labels(n)
     rep = _Lin(labels, default_axes(n - 1), decode(canon, labels))
     # lemma and expansion are sound for opposite answers, so at most one
@@ -540,12 +551,7 @@ def _decide_class(canon: bytes, n: int) -> tuple:
         verdict = _expansion_verdict(rep)
     if verdict.status is Status.UNKNOWN:
         verdict = _ray_verdict(rep, _chain_filters(rep))
-    rep_payload = {
-        "labels": list(rep.labels),
-        "axes": list(rep.axes),
-        "sequences": [list(seq) for seq in rep.seqs],
-    }
-    return verdict, rep_payload
+    return verdict.sign.value, marshal.dumps(verdict.certificate)
 
 
 def decide(
@@ -571,7 +577,7 @@ def decide(
     characterizations disagree, or on linear input disagree with the
     verdict; the verdict is unchanged.  Every
     verdict is FIXED or NON_FIXED; ``frontier_samples`` has no effect; the
-    certificate is the caller's own copy.  Raises ValueError above
+    certificate is the caller's own.  Raises ValueError above
     :data:`MAX_LABELS` labels.
     """
     check_size(cfg.n())
@@ -586,7 +592,7 @@ def decide(
             return _ray_verdict(cfg, _partial_filters(cfg))
         cert = {"type": "extension", "orders": dict(zip(cfg.axes, map(list, seqs))), "inner": chain}
         return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
-    verdict = _handed_out(_decide_lin(lin))
+    verdict = _decide_lin(lin)
     if checked is not None and (checked.status, checked.sign) != (verdict.status, verdict.sign):
         raise CrossCheckError("the n = 4 characterizations and the memo disagree")
     return verdict
@@ -887,8 +893,8 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         terms = cert["terms"]
         if e_i == e_j or [term["axis"] for term in terms] != list(lin.axes):
             return False
-        children = [_decide_lin(lin.drop(e_i, a)) for a in range(len(lin.axes))]
-        value = _expansion_sign(lin, e_i, e_j, children)
+        signs = [_lin_sign(lin.drop(e_i, a)) for a in range(len(lin.axes))]
+        value = _expansion_sign(lin, e_i, e_j, signs)
         if not (
             status is Status.FIXED
             and value.definite
@@ -896,11 +902,10 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
             and str(value) == cert["sign"]
         ):
             return False
-        fresh = _expansion_fixed(lin, e_i, e_j, children, value).certificate["terms"]
-        for a, (term, want, child) in enumerate(zip(terms, fresh, children)):
-            if any(term[key] != want[key] for key in ("parity", "diff", "child_status", "child_sign")):
+        for a, (term, child_sign) in enumerate(zip(terms, signs)):
+            if any(term[key] != want for key, want in _expansion_term(lin, e_i, e_j, a, child_sign).items()):
                 return False
-            if not _replay_lin(lin.drop(e_i, a), child.status, child.sign, term["child"]):
+            if not _replay_lin(lin.drop(e_i, a), Status.FIXED, ConfigSign(child_sign), term["child"]):
                 return False
         return True
     if kind == "extreme_lemma":

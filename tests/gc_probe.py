@@ -11,13 +11,20 @@ States, each from empty caches:
   distinct seeded n = 5 codes;
 * ``decide_memo``: ``decide`` on seeded linear n = 5 and n = 6
   configurations without ``clear_memo``, which fills the class memo and
-  the canonical cache as a long-running caller would.
+  the canonical cache as a long-running caller would;
+* ``stream``: seeded passes of fresh linear configurations, each decided
+  and its certificate replayed, with ``clear_memo`` before every pass, the
+  shape of the benchmark's ``highdim`` workload: n = 5 ones grown from the
+  fixed n = 4 classes (a fifth label inserted on each axis, and a random
+  fourth axis), random n = 5 ones and random n = 6 ones.
 
-Each line gives the state's entries, the tracked objects it added (after
-two collections, since a full pass can meet a tuple before the tuples it
-holds are untracked), the process's tracked total, and the median and
-maximum of five timed full collections in ms.  Plain module (no pytest);
-it runs in well under a minute.
+For the first two, each line gives the state's entries, the tracked
+objects it added (after two collections, since a full pass can meet a
+tuple before the tuples it holds are untracked), the process's tracked
+total, and the median and maximum of five timed full collections in ms.
+For ``stream`` it gives the full collections the interpreter started by
+itself during the passes (seen through ``gc.callbacks``) and the longest
+of them in ms.  Plain module (no pytest); it runs in well under a minute.
 """
 
 import gc
@@ -25,10 +32,19 @@ import random
 import sys
 import time
 
-from simplexfix import Configuration, decide, engine, equivalence
+from simplexfix import (
+    Configuration,
+    Status,
+    decide,
+    engine,
+    enumerate_classes,
+    equivalence,
+    replay_certificate,
+)
 
 N5_CODES = equivalence._CACHE_SIZE
 MEMO_N5, MEMO_N6 = 4000, 200
+STREAM_PASSES, STREAM_GROWN5, STREAM_N5, STREAM_N6 = 160, 160, 60, 12
 
 
 def _seeded_codes(n: int, count: int, seed: str) -> set:
@@ -47,6 +63,24 @@ def _seeded_linear(n: int, count: int, seed: str) -> list:
         Configuration.from_sequences(labels, axes, [rng.sample(labels, n) for _ in axes])
         for _ in range(count)
     ]
+
+
+def _stream_pass(rng: random.Random, fixed4: list):
+    """One ``stream`` pass, each configuration built only when it is
+    decided, so that the inputs themselves outlive no collection."""
+    labels = equivalence.default_labels(5)
+    axes = equivalence.default_axes(4)
+    for _ in range(STREAM_GROWN5):
+        seqs = []
+        for seq in rng.choice(fixed4):
+            i = rng.randrange(5)
+            seqs.append(seq[:i] + ("E",) + seq[i:])
+        yield Configuration.from_sequences(labels, axes, [*seqs, rng.sample(labels, 5)])
+    for n, count in ((5, STREAM_N5), (6, STREAM_N6)):
+        labels = equivalence.default_labels(n)
+        axes = equivalence.default_axes(n - 1)
+        for _ in range(count):
+            yield Configuration.from_sequences(labels, axes, [rng.sample(labels, n) for _ in axes])
 
 
 def _fill_canonical() -> int:
@@ -84,9 +118,45 @@ def probe(fill) -> str:
     )
 
 
+def stream() -> str:
+    equivalence.canonical.cache_clear()
+    engine.clear_memo()
+    gc.collect()
+    pauses, started = [], []
+
+    def watch(phase, info):
+        if info["generation"] == 2:
+            if phase == "start":
+                started.append(time.perf_counter())
+            else:
+                pauses.append((time.perf_counter() - started.pop()) * 1000)
+
+    fixed4 = [
+        tuple(o.sequence() for o in rep.orders)
+        for rep in enumerate_classes(4)
+        if decide(rep).status is Status.FIXED
+    ]
+    rng = random.Random("gc-probe:stream")
+    gc.callbacks.append(watch)
+    try:
+        for _ in range(STREAM_PASSES):
+            engine.clear_memo()
+            for cfg in _stream_pass(rng, fixed4):
+                if not replay_certificate(cfg, decide(cfg)):
+                    raise SystemExit(f"stream: a certificate does not replay:\n{cfg}")
+    finally:
+        gc.callbacks.remove(watch)
+    items = STREAM_PASSES * (STREAM_GROWN5 + STREAM_N5 + STREAM_N6)
+    return (
+        f"passes={STREAM_PASSES} items={items} "
+        f"full_collections={len(pauses)} full_collection_ms_max={max(pauses, default=0):.1f}"
+    )
+
+
 def main() -> int:
     for name, fill in (("canonical_cache", _fill_canonical), ("decide_memo", _fill_decide_memo)):
         print(f"{name} {probe(fill)}")
+    print(f"stream {stream()}")
     return 0
 
 

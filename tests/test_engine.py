@@ -808,6 +808,53 @@ def test_memo_is_bounded_and_eviction_keeps_verdicts(monkeypatch):
     engine.clear_memo()
 
 
+def test_the_class_memo_adds_no_object_the_collector_tracks():
+    # each class is kept as an int sign and marshalled bytes, so a warm
+    # memo lengthens no full collection
+    import gc
+
+    from simplexfix import engine
+
+    labels = ("A", "B", "C", "D", "E")
+    axes = ("x", "y", "z", "w")
+    rng = random.Random("memo-untracked")
+    cfgs = [
+        Configuration.from_sequences(labels, axes, [tuple(rng.sample(labels, 5)) for _ in axes])
+        for _ in range(300)
+    ]
+    engine.clear_memo()
+    gc.collect()
+    gc.collect()
+    before = len(gc.get_objects())
+    for cfg in cfgs:
+        decide(cfg)
+    gc.collect()
+    gc.collect()
+    assert engine._decide_class.cache_info().currsize > 200
+    assert len(gc.get_objects()) - before <= 50
+    engine.clear_memo()
+
+
+def test_only_the_winning_pivot_builds_child_certificates(monkeypatch):
+    # the pivot search reads each child's sign from the memo; only the
+    # children of the pivot that wins, (E, A) here, are decided with
+    # certificates
+    from simplexfix import engine
+
+    first = formally_fixed_by_expansion(FIXED5)
+    assert first.certificate["pivot"] == ["E", "A"]
+    calls = []
+    inner = engine._decide_lin
+
+    def counted(lin):
+        calls.append(lin)
+        return inner(lin)
+
+    monkeypatch.setattr(engine, "_decide_lin", counted)
+    assert formally_fixed_by_expansion(FIXED5) == first
+    assert len(calls) == 4
+
+
 ROTATED5 = Configuration.from_sequences(
     ("A", "B", "C", "D", "E"),
     ("x", "y", "z", "w"),
@@ -846,9 +893,9 @@ def _wreck(node):
     ids=["fixed", "non_fixed", "partial", "expansion"],
 )
 def test_editing_a_returned_certificate_changes_no_later_verdict(cfg, run, kind):
-    # the memo's verdicts share their representative, inner certificate
-    # and expansion children with what the engine builds on top of them;
-    # the caller gets a copy, so emptying it leaves the memo intact
+    # the memo stores each class's certificate marshalled, and every
+    # verdict handed out unmarshals its own, so emptying one leaves the
+    # memo intact
     from simplexfix import engine
 
     engine.clear_memo()
