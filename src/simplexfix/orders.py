@@ -1,7 +1,11 @@
 """Strict orderings, ordering configurations, and point assignments.
 
 An :class:`Ordering` is a strict partial order on a fixed label universe,
-stored as its full transitive set of pairs ``(e, f)`` meaning ``e < f``.
+held as its full transitive set of pairs ``(e, f)`` meaning ``e < f``; a
+chain (a linear order built from its label sequence) also keeps that
+sequence.  ``Ordering(labels, pairs)`` validates the pair set in full;
+``Ordering.chain`` and ``Ordering.from_pairs`` check their own input and
+build a relation that needs no recheck.
 A :class:`Configuration` bundles one ordering per axis over a common label
 set with ``|axes| == |labels| - 1``.  A :class:`PointAssignment` gives an
 exact rational coordinate to every ``(label, axis)`` pair; determinant
@@ -15,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -61,11 +65,16 @@ class Ordering:
     """Strict partial order on a label universe, transitively closed.
 
     ``pairs`` holds every derived pair, not just covering relations, so
-    comparability queries are O(1) set lookups.
+    comparability queries are O(1) set lookups.  The constructor checks
+    that the labels are distinct and that ``pairs`` is a strict,
+    transitively closed relation on them.  Equality, hash and repr read
+    ``labels`` and ``pairs`` only.
     """
 
     labels: tuple
     pairs: frozenset
+    # the increasing label sequence of a chain; not a field
+    _sequence = None
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -81,24 +90,41 @@ class Ordering:
             raise ValueError("pair set is not transitively closed")
 
     @classmethod
+    def _unchecked(cls, labels: tuple, pairs: frozenset) -> "Ordering":
+        """An ordering whose caller has shown ``pairs`` to be a strict,
+        closed relation on the distinct ``labels``: no recheck."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "pairs", pairs)
+        return self
+
+    @classmethod
     def from_pairs(cls, labels: Sequence, pairs: Iterable[tuple]) -> "Ordering":
-        """Build from raw pairs; closes transitively, rejects cycles."""
+        """Build from raw pairs; closes transitively.  Unknown labels raise
+        KeyError, reflexive pairs and cycles OrderingCycleError, duplicate
+        labels ValueError; the closure needs no further check."""
         labels = tuple(labels)
-        return cls(labels, _closure(labels, pairs))
+        closed = _closure(labels, pairs)
+        if len(set(labels)) != len(labels):
+            raise ValueError("duplicate labels")
+        return cls._unchecked(labels, closed)
 
     @classmethod
     def chain(cls, sequence: Sequence, labels: Sequence | None = None) -> "Ordering":
-        """Linear order given as its increasing label sequence."""
+        """Linear order given as its increasing label sequence, which the
+        ordering keeps for :meth:`sequence`.  Duplicate labels, and a
+        sequence that does not list every label exactly once, raise
+        ValueError; a permutation needs no pairwise check."""
         sequence = tuple(sequence)
         labels = sequence if labels is None else tuple(labels)
-        if set(sequence) != set(labels):
+        label_set = set(labels)
+        if len(label_set) != len(labels):
+            raise ValueError("duplicate labels")
+        if len(sequence) != len(labels) or set(sequence) != label_set:
             raise ValueError("chain must list every label exactly once")
-        pairs = frozenset(
-            (sequence[i], sequence[j])
-            for i in range(len(sequence))
-            for j in range(i + 1, len(sequence))
-        )
-        return cls(labels, pairs)
+        self = cls._unchecked(labels, frozenset(combinations(sequence, 2)))
+        object.__setattr__(self, "_sequence", sequence)
+        return self
 
     @classmethod
     def empty(cls, labels: Sequence) -> "Ordering":
@@ -127,7 +153,11 @@ class Ordering:
         return Ordering(labels, pairs)
 
     def sequence(self) -> tuple:
-        """Increasing label sequence; linear orderings only."""
+        """Increasing label sequence; linear orderings only.  A chain
+        returns the sequence it was built from; any other linear ordering
+        derives it from its pairs."""
+        if self._sequence is not None:
+            return self._sequence
         if not self.is_linear():
             raise ValueError("sequence() needs a linear ordering")
         below = {lab: 0 for lab in self.labels}

@@ -71,6 +71,61 @@ def test_ingestion_closes_transitively_and_rejects_cycles():
         Ordering.from_pairs(LABELS3, [("A", "B"), ("B", "C"), ("C", "A")])
 
 
+def test_linear_configurations_decide_and_replay_without_the_pairwise_recheck(monkeypatch):
+    # chains and from_pairs build a relation that needs no recheck, so the
+    # whole linear path runs with the constructor's validation disabled
+    from simplexfix import decide, engine, replay_certificate
+
+    t = ("B", "A", "C")
+    assert Ordering.chain(t).sequence() is t
+
+    def refuse(self):
+        raise AssertionError("Ordering.__post_init__ ran")
+
+    monkeypatch.setattr(Ordering, "__post_init__", refuse)
+    rng = random.Random("chain-without-recheck")
+    engine.clear_memo()
+    for i in range(300):
+        n = 5 if i % 3 else 6
+        labels = tuple("ABCDEF"[:n])
+        axes = tuple("xyzwv"[: n - 1])
+        cfg = Configuration.from_sequences(labels, axes, [rng.sample(labels, n) for _ in axes])
+        assert replay_certificate(cfg, decide(cfg))
+    engine.clear_memo()
+
+
+def test_each_constructor_keeps_its_input_checks_and_builds_equal_orderings():
+    malformed = [
+        (lambda: Ordering.chain(("A", "B", "A"), ("A", "B")), ValueError),
+        (lambda: Ordering.chain(("A", "B"), LABELS3), ValueError),
+        (lambda: Ordering.chain(("A", "B", "C", "D"), LABELS3), ValueError),
+        (lambda: Ordering.chain(("A", "B", "X"), LABELS3), ValueError),
+        (lambda: Ordering.chain(("A", "B", "C"), ("A", "B", "C", "A")), ValueError),
+        (lambda: Ordering.from_pairs(LABELS3, [("A", "X")]), KeyError),
+        (lambda: Ordering.from_pairs(LABELS3, [("A", "A")]), OrderingCycleError),
+        (lambda: Ordering.from_pairs(LABELS3, [("A", "B"), ("B", "A")]), OrderingCycleError),
+        (lambda: Ordering(LABELS3, frozenset({("A", "B"), ("B", "C")})), ValueError),
+        (lambda: Ordering(LABELS3, frozenset({("A", "A")})), OrderingCycleError),
+        (lambda: Ordering(LABELS3, frozenset({("A", "B"), ("B", "A")})), OrderingCycleError),
+        (lambda: Ordering(LABELS3, frozenset({("A", "X")})), KeyError),
+    ]
+    for build, error in malformed:
+        with pytest.raises(error):
+            build()
+    with pytest.raises(ValueError, match="every label exactly once"):
+        Ordering.chain(("A", "B", "A"), ("A", "B"))
+
+    chain = Ordering.chain(("C", "A", "B", "D"), ("A", "B", "C", "D"))
+    closed = Ordering.from_pairs(chain.labels, chain.covering_pairs())
+    checked = Ordering(chain.labels, chain.pairs)
+    for same in (checked, closed):
+        assert same == chain and hash(same) == hash(chain)
+        assert same.sequence() == chain.sequence() == ("C", "A", "B", "D")
+    # a frozenset's repr lists its items in insertion-dependent order
+    assert repr(chain) == repr(checked) == f"Ordering(labels={chain.labels!r}, pairs={chain.pairs!r})"
+    assert repr(closed) == f"Ordering(labels={chain.labels!r}, pairs={closed.pairs!r})"
+
+
 def test_reverse_examples():
     chain = Ordering.chain(LABELS3)
     assert reverse(chain).sequence() == ("C", "B", "A")
