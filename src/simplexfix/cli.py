@@ -208,7 +208,7 @@ def _cmd_canon(args) -> int:
 def _cmd_count_classes(args) -> int:
     from .equivalence import count_classes
 
-    if args.n >= 6 and not args.allow_long:
+    if args.n == 6 and not args.allow_long:
         print("simplexfix: count-classes 6 needs --allow-long", file=sys.stderr)
         return USAGE_ERROR
     count = count_classes(args.n)

@@ -50,7 +50,8 @@ children and representatives; one walker
 (``_walk_chain``) follows and checks extreme-removal chains for witnesses
 and replay; one ray pass (``_ray_pass``) serves chains, partial orders
 and the landmark scan's patterns; replay compares codes under the group
-action and checks an extension by positions, building no orderings.
+action, checks an extension by positions, and proves an expansion child's
+stated sign by the child's own certificate, deciding nothing.
 ``_Lin``, the extreme-removal search, the ray pass, :class:`Status` and
 the size limit live in :mod:`simplexfix.criteria`, which the landmark
 scan imports without this module.
@@ -382,6 +383,19 @@ def _ray_rows(labels: tuple, ups: Sequence) -> list:
     return rows
 
 
+def _ray_pair_ups(cfg, gens: Sequence, cert: Mapping) -> list:
+    """The ``plus`` and ``minus`` filter tuples a ``ray_pair`` certificate
+    names over ``gens``; ValueError unless each is one filter per axis
+    whose determinant has its key's sign."""
+    pair = []
+    for key, want in (("plus", 1), ("minus", -1)):
+        ups = [g[k] for g, k in zip(gens, _ray_choice(cfg.axes, gens, cert[key]))]
+        if _det_sign_int(_ray_rows(cfg.labels, ups)) != want:
+            raise ValueError(f"certificate invalid: the {key!r} tuple has the wrong determinant sign")
+        pair.append(ups)
+    return pair
+
+
 def _ray_verdict(cfg, gens: Sequence) -> FixityVerdict:
     """Exact decision by the ray criterion over per-axis filters ``gens``
     (of a configuration or a ``_Lin``; only its labels and axes are
@@ -399,14 +413,11 @@ def _ray_verdict(cfg, gens: Sequence) -> FixityVerdict:
 def _replay_ray(cfg, gens: Sequence, status: Status, sign, cert) -> bool:
     """Replay a ``ray_pair`` or ``ray_all`` certificate over ``gens``."""
     if cert["type"] == "ray_pair":
-        signs = []
-        for key in ("plus", "minus"):
-            try:
-                chosen = _ray_choice(cfg.axes, gens, cert[key])
-            except ValueError:
-                return False
-            signs.append(_det_sign_int(_ray_rows(cfg.labels, [g[k] for g, k in zip(gens, chosen)])))
-        return status is Status.NON_FIXED and signs == [1, -1]
+        try:
+            _ray_pair_ups(cfg, gens, cert)
+        except ValueError:
+            return False
+        return status is Status.NON_FIXED
     return (
         status is Status.FIXED
         and cert["tuples"] == prod(map(len, gens))
@@ -634,61 +645,50 @@ def _lift_witness(lin: _Lin, e, axis_index: int, child_pairs):
     """Lift child witnesses (dropping ``e`` and one axis) to the full
     configuration.
 
-    All coordinates except ``x_{e,b}`` are filled first (fresh positions on
-    the dropped axis, midpoints for ``e`` elsewhere); the determinant is
-    then affine in ``x_{e,b}`` with slope plus/minus the child determinant,
-    so pushing the extreme coordinate past an explicit bound realizes the
-    wanted sign.
+    Each child is lifted once: all coordinates but ``x_{e,b}`` are filled
+    (fresh positions on the dropped axis, midpoints for ``e`` elsewhere),
+    the determinant is then affine in ``x_{e,b}`` with slope plus/minus
+    the child determinant, and pushing ``x_{e,b}`` past an explicit bound
+    toward ``e``'s end of ``b`` realizes the sign the slope gives there.
+    The children's slopes have opposite signs: one orientation each.
     """
     n = len(lin.labels)
     b = lin.axes[axis_index]
     seq_b = lin.seqs[axis_index]
-    e_min = seq_b[0] == e
+    end = -1 if seq_b[0] == e else 1
+    rest = [lab for lab in seq_b if lab != e]
     results = {}
-    for want in (1, -1):
-        done = False
-        for child_values in child_pairs:
-            values = dict(child_values)
-            rest = [lab for lab in seq_b if lab != e]
-            for i, lab in enumerate(rest):
-                values[(lab, b)] = Fraction(i)
-            for a in range(len(lin.axes)):
-                if a == axis_index:
-                    continue
-                axis = lin.axes[a]
-                seq = lin.seqs[a]
-                i = seq.index(e)
-                if i == 0:
-                    val = Fraction(values[(seq[1], axis)]) - 1
-                elif i == n - 1:
-                    val = Fraction(values[(seq[-2], axis)]) + 1
-                else:
-                    val = (Fraction(values[(seq[i - 1], axis)]) + values[(seq[i + 1], axis)]) / 2
-                values[(e, axis)] = val
-            values[(e, b)] = Fraction(0)
-            g0 = _det_value(lin.labels, lin.axes, values)
-            values[(e, b)] = Fraction(1)
-            g1 = _det_value(lin.labels, lin.axes, values)
-            alpha = g1 - g0
-            if alpha == 0:
-                raise InternalCheckError("expansion slope must equal the nonzero child determinant")
-            if e_min:
-                if want * alpha > 0:
-                    continue  # determinant drifts the wrong way toward -inf
-                t = min(Fraction(want - g0, alpha), Fraction(-1))
+    for child_values in child_pairs:
+        values = dict(child_values)
+        for i, lab in enumerate(rest):
+            values[(lab, b)] = Fraction(i)
+        for a in range(len(lin.axes)):
+            if a == axis_index:
+                continue
+            axis = lin.axes[a]
+            seq = lin.seqs[a]
+            i = seq.index(e)
+            if i == 0:
+                val = Fraction(values[(seq[1], axis)]) - 1
+            elif i == n - 1:
+                val = Fraction(values[(seq[-2], axis)]) + 1
             else:
-                if want * alpha < 0:
-                    continue
-                t = max(Fraction(want - g0, alpha), Fraction(n))
-            values[(e, b)] = t
-            check = _det_value(lin.labels, lin.axes, values)
-            if (check > 0) != (want > 0) or check == 0:
-                raise InternalCheckError("lifted witness determinant has the wrong sign")
-            results[want] = values
-            done = True
-            break
-        if not done:
-            raise InternalCheckError("no child witness fits the wanted orientation")
+                val = (Fraction(values[(seq[i - 1], axis)]) + values[(seq[i + 1], axis)]) / 2
+            values[(e, axis)] = val
+        values[(e, b)] = Fraction(0)
+        g0 = _det_value(lin.labels, lin.axes, values)
+        values[(e, b)] = Fraction(1)
+        alpha = _det_value(lin.labels, lin.axes, values) - g0
+        if alpha == 0:
+            raise InternalCheckError("expansion slope must equal the nonzero child determinant")
+        want = end if alpha > 0 else -end
+        t = Fraction(want - g0, alpha)
+        values[(e, b)] = min(t, Fraction(-1)) if end < 0 else max(t, Fraction(n))
+        if _det_value(lin.labels, lin.axes, values) * want <= 0:
+            raise InternalCheckError("lifted witness determinant has the wrong sign")
+        results[want] = values
+    if len(results) != 2:
+        raise InternalCheckError("the child witnesses' slopes must have opposite signs")
     return results[1], results[-1]
 
 
@@ -712,10 +712,7 @@ def _ray_witness(cfg, gens: Sequence, cert: dict):
     bound = 1 + prod(map(len, gens)) * m**m
     counts = [Counter(lab for gen in axis_gens for lab in gen) for axis_gens in gens]
     pair = []
-    for key, want in (("plus", 1), ("minus", -1)):
-        ups = [g[k] for g, k in zip(gens, _ray_choice(cfg.axes, gens, cert[key]))]
-        if _det_sign_int(_ray_rows(cfg.labels, ups)) != want:
-            raise ValueError(f"certificate invalid: the {key!r} tuple has the wrong determinant sign")
+    for ups, want in zip(_ray_pair_ups(cfg, gens, cert), (1, -1)):
         t = 2
         while True:
             values = {
@@ -893,7 +890,7 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         terms = cert["terms"]
         if e_i == e_j or [term["axis"] for term in terms] != list(lin.axes):
             return False
-        signs = [_lin_sign(lin.drop(e_i, a)) for a in range(len(lin.axes))]
+        signs = [{"+": 1, "-": -1}.get(term["child_sign"], 0) for term in terms]
         value = _expansion_sign(lin, e_i, e_j, signs)
         if not (
             status is Status.FIXED
@@ -938,6 +935,8 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
 def replay_certificate(cfg: Configuration, verdict: FixityVerdict) -> bool:
     """Re-derive a verdict from its certificate alone.
 
+    An expansion term's child sign is proved by replaying the child's
+    certificate, not by deciding the child: no canonical form, no memo.
     Returns False when the certificate does not substantiate the claimed
     status and sign; raises on malformed certificates.
     """

@@ -41,7 +41,7 @@ from itertools import chain, combinations_with_replacement, permutations
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .criteria import default_axes, default_labels
+from .criteria import InternalCheckError, default_axes, default_labels
 from .orders import Configuration, Ordering
 from .signs import FormalSign
 
@@ -370,5 +370,6 @@ def count_classes(n: int) -> int:
             if contribution:
                 total += n_lam * n_mu * contribution
     group_order = factorial(n - 1) * n_fact * (1 << (n - 1))
-    assert total % group_order == 0, "orbit-count sum must divide evenly"
+    if total % group_order:
+        raise InternalCheckError("orbit-count sum must divide evenly")
     return total // group_order

@@ -62,6 +62,8 @@ class PointCloud(PointAssignment):
         """From a mapping label -> coordinate sequence; axes default to
         ``x, y, z, ...``."""
         if axes is None:
+            if not points:
+                raise ValueError("a point cloud needs at least one point to infer its axes")
             axes = default_axes(len(next(iter(points.values()))))
         return super().from_points(points, axes)
 

@@ -78,6 +78,10 @@ def test_count_classes_output_and_gate(capsys):
     assert code == 0 and out == "71965235\n"
     code, _, err = run(capsys, "count-classes", "9", "--allow-long")
     assert code == 1
+    # above six the limit is named at once, with or without --allow-long
+    for extra in ((), ("--allow-long",)):
+        code, out, err = run(capsys, "count-classes", "7", *extra)
+        assert (code, out) == (1, "") and "supports 2 <= n <= 6, got 7" in err
 
 
 def test_enumerate_classes_output(capsys):

@@ -444,6 +444,67 @@ def test_replay_checks_the_base_of_an_extreme_chain():
     assert not replay_certificate(cfg, inner)
 
 
+def _expansions(cert):
+    """Every ``expansion`` certificate inside ``cert``, at any depth."""
+    if isinstance(cert, dict):
+        if cert.get("type") == "expansion":
+            yield cert
+        for value in cert.values():
+            yield from _expansions(value)
+    elif isinstance(cert, list):
+        for value in cert:
+            yield from _expansions(value)
+
+
+def test_replay_proves_expansion_children_without_deciding_them(monkeypatch):
+    # an expansion term's child sign is read from the certificate and
+    # proved by replaying the child's own certificate: replay reaches
+    # neither a canonical form nor the class memo, and a flipped child
+    # sign is refused
+    from class_growth import FIXED_SIX
+    from simplexfix import engine
+    from simplexfix.criteria import default_axes, default_labels
+    from simplexfix.equivalence import decode
+
+    labels6 = default_labels(6)
+    classes = [decode(bytes.fromhex(code), labels6) for code in FIXED_SIX.read_text().split()]
+    rng = random.Random(18)
+    cases = []
+    while len(cases) < 50:
+        # a fixed six-label class, or one of its extreme removals, under a
+        # random relabeling, axis order and reversal mask
+        seqs = [list(seq) for seq in rng.choice(classes)]
+        if rng.random() < 0.5:
+            gone = seqs.pop(rng.randrange(5))[rng.choice((0, -1))]
+            seqs = [[lab for lab in seq if lab != gone] for seq in seqs]
+        n = len(seqs[0])
+        names = dict(zip(seqs[0], rng.sample(default_labels(n), n)))
+        rng.shuffle(seqs)
+        seqs = [[names[lab] for lab in (seq[::-1] if rng.random() < 0.5 else seq)] for seq in seqs]
+        cfg = Configuration.from_sequences(default_labels(n), default_axes(n - 1), seqs)
+        verdict = decide(cfg)
+        if next(_expansions(verdict.certificate), None) is not None:
+            cases.append((cfg, verdict))
+    assert {cfg.n() for cfg, _ in cases} == {5, 6}
+
+    def refuse(*args):
+        raise AssertionError("replay consulted the class memo")
+
+    engine.clear_memo()
+    monkeypatch.setattr(engine, "_decide_class", refuse)
+    monkeypatch.setattr(engine, "canonical", refuse)
+    for cfg, verdict in cases:
+        assert replay_certificate(cfg, verdict)
+        terms = next(_expansions(verdict.certificate))["terms"]
+        k = rng.randrange(len(terms))
+        bad = tampered(verdict, lambda c: next(_expansions(c))["terms"][k].update(
+            child_sign=_flip(terms[k]["child_sign"])))
+        try:
+            assert not replay_certificate(cfg, bad), cfg
+        except ValueError:
+            pass
+
+
 def _ray_reference(labels, gens):
     """First tuple of each nonzero determinant sign, one determinant
     (integer Bareiss) per tuple."""

@@ -225,6 +225,12 @@ def test_scan_needs_enough_points():
         scan(tiny)
 
 
+def test_an_empty_cloud_with_default_axes_is_a_value_error():
+    # with no point to count coordinates from, the axes cannot be inferred
+    with pytest.raises(ValueError, match="at least one point"):
+        PointCloud.from_points({})
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.randoms(use_true_random=False))
 def test_generic_position_clouds_always_decide(rng):

@@ -179,13 +179,13 @@ def test_witness_follows_equivalent_certificates(monkeypatch):
     readme_verdict = decide(readme)
     assert readme_verdict.certificate["type"] == "equivalent"
     calls = []
-    for name in ("_lemma_certificate", "_ray_search"):
+    for name in ("_lemma_certificate", "_ray_verdict"):
         original = getattr(engine, name)
         monkeypatch.setattr(engine, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
     assert verify_witness(build_witness(readme, readme_verdict), readme)
     assert calls == []
     build_witness(readme)  # without a verdict, as `simplexfix witness`, it searches
-    assert calls
+    assert "_ray_verdict" in calls
     monkeypatch.undo()
 
     # both parities of the group element, reversed axes among them
