@@ -46,12 +46,14 @@ carry the public API.  Past that boundary every path works on label
 sequences: ``_Lin``, the per-axis sequences of a linear configuration,
 and for partial input the first extension and the filters read off its
 pairs.  One dispatch (``_decide_lin``) decides linear inputs, expansion
-children and representatives; one walker
-(``_walk_chain``) follows and checks extreme-removal chains for witnesses
-and replay; one ray pass (``_ray_pass``) serves chains, partial orders
-and the landmark scan's patterns; replay compares codes under the group
-action, checks an extension by positions, and proves an expansion child's
-stated sign by the child's own certificate, deciding nothing.
+children and representatives; one search (``_extension_verdict``)
+decides partial input and finds, on the input itself, every witness
+that follows no certificate; one walker (``_walk_chain``) follows and
+checks extreme-removal chains for witnesses and replay; one ray pass
+(``_ray_pass``) serves chains, partial orders and the landmark scan's
+patterns; replay compares codes under the group action, checks an
+extension by positions, and proves an expansion child's stated sign by
+the child's own certificate, deciding nothing.
 ``_Lin``, the extreme-removal search, the ray pass, :class:`Status` and
 the size limit live in :mod:`simplexfix.criteria`, which the landmark
 scan imports without this module.
@@ -346,10 +348,10 @@ def _chain_filters(lin: _Lin) -> list:
     return [_filters(seq, zip(seq, seq[1:])) for seq in lin.seqs]
 
 
-def _partial_filters(cfg: Configuration) -> list:
+def _partial_filters(cfg: Configuration, lin: _Lin) -> list:
     """Per axis, the filters of a configuration's orderings, listed in
-    the order of the first extension."""
-    return [_filters(o.first_extension(), o.pairs) for o in cfg.orders]
+    the order of ``lin``, a linear extension of them."""
+    return [_filters(seq, o.pairs) for seq, o in zip(lin.seqs, cfg.orders)]
 
 
 def _ray_search(labels: tuple, gens: Sequence) -> dict:
@@ -565,6 +567,24 @@ def _decide_class(canon: bytes, n: int) -> tuple:
     return verdict.sign.value, marshal.dumps(verdict.certificate)
 
 
+def _first_extension(cfg: Configuration) -> _Lin:
+    """The first linear extension of each axis ordering (see
+    :func:`decide`), a linear one's own sequence."""
+    seqs = tuple(o.sequence() if o.is_linear() else o.first_extension() for o in cfg.orders)
+    return _Lin(cfg.labels, cfg.axes, seqs)
+
+
+def _extension_verdict(cfg: Configuration, lin: _Lin) -> FixityVerdict:
+    """:func:`decide`'s verdict on partial input, from ``lin``, its first
+    extension (or any linear extension): the search every witness
+    without a certificate runs."""
+    chain = _lemma_certificate(lin)
+    if chain is None:
+        return _ray_verdict(cfg, _partial_filters(cfg, lin))
+    cert = {"type": "extension", "orders": dict(zip(cfg.axes, map(list, lin.seqs))), "inner": chain}
+    return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
+
+
 def decide(
     cfg: Configuration,
     debug_crosscheck: bool = False,
@@ -592,17 +612,11 @@ def decide(
     :data:`MAX_LABELS` labels.
     """
     check_size(cfg.n())
-    linear = cfg.is_linear()
-    seqs = tuple(o.sequence() if linear else o.first_extension() for o in cfg.orders)
-    lin = _Lin(cfg.labels, cfg.axes, seqs)
+    lin = _first_extension(cfg)
     # checked first, so a split is reported before the memo's own checks
     checked = _dim3_check(lin) if debug_crosscheck and cfg.n() == 4 else None
-    if not linear:
-        chain = _lemma_certificate(lin)
-        if chain is None:
-            return _ray_verdict(cfg, _partial_filters(cfg))
-        cert = {"type": "extension", "orders": dict(zip(cfg.axes, map(list, seqs))), "inner": chain}
-        return FixityVerdict(Status.NON_FIXED, ConfigSign.BOTH, cert)
+    if not cfg.is_linear():
+        return _extension_verdict(cfg, lin)
     verdict = _decide_lin(lin)
     if checked is not None and (checked.status, checked.sign) != (verdict.status, verdict.sign):
         raise CrossCheckError("the n = 4 characterizations and the memo disagree")
@@ -617,28 +631,20 @@ def _witness_dim2_values(lin: _Lin):
     """Witness pair for an equal-or-reversed pair of 3-label orderings.
 
     Start from collinear points (determinant zero) and nudge one
-    coordinate by +-1/2 along its nonzero cofactor.
+    coordinate by +-1/2 along its nonzero cofactor: the determinant is
+    affine in the nudge, so the two nudges give opposite signs.
     """
     sx, sy = lin.seqs
     ax, ay = lin.axes
-    base = {}
-    for i, lab in enumerate(sx):
-        base[(lab, ax)] = Fraction(i)
-        base[(lab, ay)] = Fraction(i) if sx == sy else Fraction(-i)
-    target = sx[-1]
-    eps = Fraction(1, 2)
-    out = {}
-    for direction in (1, -1):
-        cand = dict(base)
-        cand[(target, ay)] += eps * direction
-        value = _det_value(lin.labels, lin.axes, cand)
-        if value > 0:
-            out[1] = cand
-        elif value < 0:
-            out[-1] = cand
-    if len(out) != 2:
-        raise InternalCheckError("collinear base perturbation must realize both signs")
-    return out[1], out[-1]
+    pair = []
+    for nudge in (Fraction(1, 2), Fraction(-1, 2)):
+        values = {}
+        for i, lab in enumerate(sx):
+            values[(lab, ax)] = Fraction(i)
+            values[(lab, ay)] = Fraction(i) if sx == sy else Fraction(-i)
+        values[(sx[-1], ay)] += nudge
+        pair.append(values)
+    return pair if _det_value(lin.labels, lin.axes, pair[0]) > 0 else pair[::-1]
 
 
 def _lift_witness(lin: _Lin, e, axis_index: int, child_pairs):
@@ -729,84 +735,47 @@ def _ray_witness(cfg, gens: Sequence, cert: dict):
     return tuple(pair)
 
 
-def _witness_values_linear(lin: _Lin, cert: dict | None = None):
-    """Witness values of a linear configuration.  An ``equivalent``,
-    ``extreme_lemma`` or ``ray_pair`` certificate is followed (and
-    checked); otherwise an extreme-removal chain is searched, then the ray
-    criterion."""
-    if len(lin.labels) == 2:
-        raise NotNonFixedError("a linear two-label configuration is always fixed")
-    kind = cert["type"] if cert is not None else None
-    if kind == "equivalent":
-        return _witness_through(lin, cert)
-    if kind not in ("extreme_lemma", "ray_pair"):
-        cert = _lemma_certificate(lin) or _ray_verdict(lin, _chain_filters(lin)).certificate
-    if cert["type"] == "ray_all":
-        raise NotNonFixedError("the configuration is fixed")
-    if cert["type"] == "ray_pair":
-        return _ray_witness(lin, _chain_filters(lin), cert)
-    stack, base = _walk_chain(lin, cert)
-    pair = _witness_dim2_values(base)
-    for parent, e, a in reversed(stack):
-        pair = _lift_witness(parent, e, a, pair)
-    return pair
-
-
-def _witness_through(lin: _Lin, cert: dict):
-    """Witness values of ``lin`` from the representative of its
-    ``equivalent`` certificate: the representative's witness, following
-    the inner certificate, carried back through the group element.  Each
-    input axis takes the values of the representative axis it feeds,
-    negated when that axis is reversed, under the representative's names
-    for its labels; an orientation-reversing element swaps plus and
-    minus."""
-    unwrapped = _unwrap(lin, cert)
-    if unwrapped is None:
-        raise ValueError("certificate invalid: the group element does not map the input to the representative")
-    g, rep = unwrapped
-    feeds = {j: i for i, j in enumerate(g.axis_source)}
-    pair = [
-        {
-            (lab, axis): values[(rep.labels[g.label_perm[k]], rep.axes[feeds[j]])]
-            * (-1 if g.reversals[feeds[j]] else 1)
-            for k, lab in enumerate(lin.labels)
-            for j, axis in enumerate(lin.axes)
-        }
-        for values in _witness_values_linear(rep, cert["inner"])
-    ]
-    return tuple(pair) if sign_parity(g) is FormalSign.PLUS else tuple(pair[::-1])
-
-
 def build_witness(cfg: Configuration, verdict: FixityVerdict | None = None) -> WitnessPair:
     """Explicit rational assignments certifying non-fixity.
 
     Both assignments satisfy the configuration and their determinant signs
     are strictly opposite; the result is verified exactly before being
-    returned.  On linear input a given ``equivalent``, extreme-removal or
-    ``ray_pair`` certificate is followed (and validated) instead of
-    searching afresh; the search tries an extreme-removal chain, then the
-    ray criterion.  Partial input follows its certificate, ``decide``'s
-    when none is given: the chain of the named linear extension, or the
-    filter weights of a ``ray_pair``.  Raises :class:`NotNonFixedError`
+    returned.  A given ``extreme_lemma`` or ``ray_pair`` certificate is
+    followed (and validated) on the first extension, the input itself
+    when linear, or on the linear extension an ``extension`` certificate
+    names around it.  With any other certificate, or none, the witness
+    follows the search :func:`decide` runs on partial input, from that
+    extension.  An ``equivalent`` certificate is only checked: a wrong
+    group element raises ValueError.  Raises :class:`NotNonFixedError`
     when the configuration is fixed, ValueError above :data:`MAX_LABELS`
     labels.
     """
     check_size(cfg.n())
+    lin = _first_extension(cfg)
     cert = verdict.certificate if verdict is not None else None
-    if cfg.is_linear():
-        plus, minus = _witness_values_linear(_Lin.of(cfg), cert)
-    else:
-        if cert is None:
-            cert = decide(cfg).certificate
+    kind = cert["type"] if cert is not None else None
+    if kind == "extension":
+        lin = _extension(cfg, cert)
+        if lin is None:
+            raise ValueError("certificate invalid: the extension does not contain the input orders")
+        cert = cert["inner"]
+        kind = cert["type"]
+    if kind == "equivalent" and _unwrap(lin, cert) is None:
+        raise ValueError("certificate invalid: the group element does not map the input to the representative")
+    if kind not in ("extreme_lemma", "ray_pair"):
+        cert = _extension_verdict(cfg, lin).certificate
         if cert["type"] == "extension":
-            ext = _extension(cfg, cert)
-            if ext is None:
-                raise ValueError("certificate invalid: the extension does not contain the input orders")
-            plus, minus = _witness_values_linear(ext, cert["inner"])
-        elif cert["type"] == "ray_pair":
-            plus, minus = _ray_witness(cfg, _partial_filters(cfg), cert)
-        else:
-            raise NotNonFixedError("the configuration is fixed")
+            cert = cert["inner"]
+        kind = cert["type"]
+    if kind == "ray_all":
+        raise NotNonFixedError("the configuration is fixed")
+    if kind == "ray_pair":
+        plus, minus = _ray_witness(cfg, _partial_filters(cfg, lin), cert)
+    else:
+        stack, base = _walk_chain(lin, cert)
+        plus, minus = _witness_dim2_values(base)
+        for parent, e, a in reversed(stack):
+            plus, minus = _lift_witness(parent, e, a, (plus, minus))
     pair = WitnessPair(
         PointAssignment(cfg.labels, cfg.axes, plus),
         PointAssignment(cfg.labels, cfg.axes, minus),
@@ -830,7 +799,7 @@ def _replay(cfg: Configuration, status: Status, sign, cert) -> bool:
             and _replay_lin(ext, status, ConfigSign.BOTH, cert["inner"])
         )
     if kind in ("ray_pair", "ray_all") and not cfg.is_linear():
-        return _replay_ray(cfg, _partial_filters(cfg), status, sign, cert)
+        return _replay_ray(cfg, _partial_filters(cfg, _first_extension(cfg)), status, sign, cert)
     return _replay_lin(_Lin.of(cfg), status, sign, cert)
 
 
@@ -950,6 +919,7 @@ def replay_certificate(cfg: Configuration, verdict: FixityVerdict) -> bool:
 # sampling oracle
 
 _CHUNK = 512
+MAX_SAMPLES = 1_000_000  # about 3 minutes of draws on an empty 8-label input
 _BUCKET = {DetSign.POS: "pos", DetSign.NEG: "neg", DetSign.ZERO: "zero"}
 
 
@@ -973,10 +943,13 @@ def sample_signs(cfg: Configuration, seed: int, count: int, threads: int = 1) ->
     Deterministic given ``seed``: draws come in chunks of 512, each from a
     generator seeded from (seed, chunk index).  ``threads`` is accepted
     for compatibility and has no effect: sampling runs in one thread,
-    since a thread pool did not speed it up.
+    since a thread pool did not speed it up.  Raises ValueError when
+    ``count`` is below 1 or above :data:`MAX_SAMPLES`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"more than {MAX_SAMPLES:,} samples are not supported (got {count:,})")
     histogram = {"pos": 0, "neg": 0, "zero": 0}
     for chunk in range((count + _CHUNK - 1) // _CHUNK):
         rng = random.Random(f"{seed}:{chunk}")

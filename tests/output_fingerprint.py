@@ -9,7 +9,8 @@ Families:
   and n = 4 configuration and of seeded linear n = 5 and n = 6 ones;
 * ``decide_partial``: the same of seeded partial n = 3..5 ones;
 * ``witness``: witness JSON of the non-fixed ones among them, built as
-  the CLI builds it (no verdict) and following ``decide``'s verdict;
+  the CLI builds it (no verdict);
+* ``witness_given``: the same built following ``decide``'s verdict;
 * ``dim3``: ``decide_dim3`` JSON of every linear n = 4 configuration,
   the n = 4 check's own output;
 * ``sample``: ``sample_signs`` histograms over seeded configurations,
@@ -113,19 +114,19 @@ def decide_family(cfgs: list, verdicts: list, linear: bool) -> bytes:
     )
 
 
-def witness_family(cfgs: list, verdicts: list) -> bytes:
+def witness_family(cfgs: list, verdicts: list, given: bool) -> bytes:
     out = []
     for k, (cfg, verdict) in enumerate(zip(cfgs, verdicts)):
         # every n = 4 linear input would take most of the run: one in five
         if verdict.status is not Status.NON_FIXED or (cfg.n() == 4 and cfg.is_linear() and k % 5):
             continue
-        for given in (None, verdict):
-            pair = build_witness(cfg, given)
-            out.append(_line([assignment_to_json(pair.plus), assignment_to_json(pair.minus)]))
-    try:
-        build_witness(all_linear(3)[1])
-    except NotNonFixedError as exc:
-        out.append(_line(str(exc)))
+        pair = build_witness(cfg, verdict if given else None)
+        out.append(_line([assignment_to_json(pair.plus), assignment_to_json(pair.minus)]))
+    if not given:
+        try:
+            build_witness(all_linear(3)[1])
+        except NotNonFixedError as exc:
+            out.append(_line(str(exc)))
     return b"".join(out)
 
 
@@ -170,7 +171,8 @@ def main() -> int:
     families = {
         "decide_linear": decide_family(cfgs, verdicts, linear=True),
         "decide_partial": decide_family(cfgs, verdicts, linear=False),
-        "witness": witness_family(cfgs, verdicts),
+        "witness": witness_family(cfgs, verdicts, given=False),
+        "witness_given": witness_family(cfgs, verdicts, given=True),
         "dim3": dim3_family(),
         "sample": sample_family(),
         "scan": scan_family(),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,53 @@ def test_witness_exact_fractions(tmp_path, capsys):
 
     code, _, err = run(capsys, "witness", write(tmp_path, "fx.cfg", THM_FIXED))
     assert code == 1 and err
+
+
+README_FIVE = "x: D<B<A<E<C\ny: D<C<A<E<B\nz: B<D<C<A<E\nu: A<D<C<B<E\n"
+
+
+def test_witness_prints_the_readme_coordinates(tmp_path, capsys):
+    # README gives the five-label example's pair as `D=(0,0,1,1) B=(...)`,
+    # plus first, coordinates in axis order x y z u
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = re.findall(r"`((?:[A-E]=\(\d+(?:,\d+){3}\) ?){5})`", readme)
+    code, out, _ = run(capsys, "witness", write(tmp_path, "five.cfg", README_FIVE))
+    assert code == 0
+    printed = []
+    for block in out.split("minus:\n"):
+        rows = re.findall(r"^  (\w): x=(\d+) y=(\d+) z=(\d+) u=(\d+)$", block, re.M)
+        printed.append(" ".join(f"{lab}=({','.join(coords)})" for lab, *coords in rows))
+    assert documented == printed
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # three labels, reversed orders: the nudged collinear base
+        (
+            "x: A < B < C\ny: C < B < A\n",
+            '{"minus": {"A": {"x": "0", "y": "0"}, "B": {"x": "1", "y": "-1"}, "C": {"x": "2", "y": "-5/2"}}, '
+            '"plus": {"A": {"x": "0", "y": "0"}, "B": {"x": "1", "y": "-1"}, "C": {"x": "2", "y": "-3/2"}}}\n',
+        ),
+        # four labels: A, the minimum of x, lifted over a reversed base
+        (
+            "x: A < B < C < D\ny: A < C < B < D\nz: D < B < A < C\n",
+            '{"minus": {"A": {"x": "-9", "y": "-1", "z": "-1/2"}, "B": {"x": "0", "y": "1", "z": "-1"}, '
+            '"C": {"x": "1", "y": "0", "z": "0"}, "D": {"x": "2", "y": "2", "z": "-3/2"}}, '
+            '"plus": {"A": {"x": "-1", "y": "-1", "z": "-1/2"}, "B": {"x": "0", "y": "1", "z": "-1"}, '
+            '"C": {"x": "1", "y": "0", "z": "0"}, "D": {"x": "2", "y": "2", "z": "-5/2"}}}\n',
+        ),
+    ],
+)
+def test_witness_json_bytes_of_chain_witnesses(tmp_path, capsys, text, expected):
+    code, out, _ = run(capsys, "witness", write(tmp_path, "w.cfg", text), "--format", "json")
+    assert code == 0 and out == expected
+
+
+def test_sample_refuses_more_than_a_million_samples(tmp_path, capsys):
+    path = write(tmp_path, "fx.cfg", THM_FIXED)
+    code, out, err = run(capsys, "sample", path, "--samples", "1000001")
+    assert code == 1 and out == "" and "1,000,000" in err
 
 
 def test_sample_deterministic_across_threads(tmp_path, capsys):

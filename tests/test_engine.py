@@ -522,7 +522,7 @@ def _ray_reference(labels, gens):
 
 
 def test_ray_search_matches_one_determinant_per_tuple():
-    from simplexfix.engine import _Lin, _chain_filters, _partial_filters, _ray_search
+    from simplexfix.engine import _Lin, _chain_filters, _first_extension, _partial_filters, _ray_search
 
     rng = random.Random(41)
     for n, count in ((2, 4), (3, 40), (4, 200), (5, 200), (6, 30)):
@@ -536,7 +536,7 @@ def test_ray_search_matches_one_determinant_per_tuple():
     # filters of partial orders: several labels enter and leave per step
     for n, count in ((3, 40), (4, 60), (5, 10)):
         for cfg in seeded_partials(rng, n, count):
-            gens = _partial_filters(cfg)
+            gens = _partial_filters(cfg, _first_extension(cfg))
             assert _ray_search(cfg.labels, gens) == _ray_reference(cfg.labels, gens)
 
 
@@ -1042,6 +1042,17 @@ def test_dim5_random_soundness_soak():
         else:
             assert verdict.status is Status.NON_FIXED
             assert verify_witness(build_witness(cfg, verdict), cfg)
+
+
+def test_sample_signs_refuses_more_than_max_samples():
+    from simplexfix.engine import MAX_SAMPLES
+
+    assert MAX_SAMPLES == 1_000_000
+    cfg = linear3(("A", "B", "C"), ("B", "C", "A"))
+    with pytest.raises(ValueError, match="more than 1,000,000 samples"):
+        sample_signs(cfg, 0, MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        sample_signs(cfg, 0, 0)
 
 
 def test_sample_signs_determinism_and_threads():

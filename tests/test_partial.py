@@ -169,6 +169,31 @@ def test_partial_ray_all_certificate_and_tampering():
         build_witness(RAY_ALL3, verdict)
 
 
+def test_partial_witness_searches_past_a_foreign_certificate():
+    # a certificate the witness does not follow, even a FIXED one or a
+    # fixed extension's, leaves the search on the input: a partial input
+    # is not taken at its word
+    cfg = Configuration.from_pairs(
+        ("A", "B", "C"), ("x", "y"), {"x": [("A", "B")], "y": [("A", "B"), ("B", "C")]}
+    )
+    assert decide(cfg).status is Status.NON_FIXED
+    foreign = [
+        {"type": "ray_all", "tuples": 3, "sign": "+"},
+        {"type": "dim2_fixed", "middle": "B", "sign": "+"},
+    ]
+    fixed_extension = {  # C < A < B against A < B < C
+        "type": "extension",
+        "orders": {"x": ["C", "A", "B"], "y": ["A", "B", "C"]},
+        "inner": {"type": "dim2_fixed", "middle": "A", "sign": "+"},
+    }
+    for cert in (*foreign, fixed_extension):
+        given = FixityVerdict(Status.FIXED, ConfigSign.PLUS, cert)
+        assert verify_witness(build_witness(cfg, given), cfg)
+    for cert in (None, *foreign):
+        with pytest.raises(NotNonFixedError):
+            build_witness(RAY_ALL3, cert and FixityVerdict(Status.FIXED, ConfigSign.MINUS, cert))
+
+
 def test_extension_certificates_are_checked_by_position():
     from conftest import subset_13710
 
