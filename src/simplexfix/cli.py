@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 # every command loads these; engine, equivalence and landmark each command
 # imports itself, so a scan loads neither the engine nor the symmetry group
@@ -39,6 +40,10 @@ from .orders import configuration_extensions, extension_count
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
+
+#: scan lines joined into one write after the first, which is written
+#: alone as soon as its subset is decided
+SCAN_BLOCK_LINES = 256
 
 #: most linear extensions ``extensions`` lists; it counts them first, so a
 #: sparse input is refused at once instead of enumerated without bound
@@ -239,8 +244,11 @@ def _cmd_scan(args) -> int:
     else:
         results = iter_scan(cloud, jitter_seed=args.jitter)
         lines = text_lines(results, subset_width(cloud), args.jitter)
-    for line in lines:  # each line goes out as soon as its subset is decided
-        print(line, flush=True)
+    lines = iter(lines)
+    size = 1  # the first line goes out as soon as its subset is decided
+    while block := list(islice(lines, size)):
+        print("\n".join(block), flush=True)
+        size = SCAN_BLOCK_LINES
     return 0
 
 

@@ -80,7 +80,7 @@ class _Lin:
         return _Lin(
             _without(self.labels, self.labels.index(label)),
             _without(self.axes, axis_index),
-            tuple(_without(seq, seq.index(label)) for seq in _without(self.seqs, axis_index)),
+            tuple([_without(seq, seq.index(label)) for seq in _without(self.seqs, axis_index)]),
         )
 
     def diff(self, e, f, axis_index: int) -> FormalSign:
@@ -109,22 +109,53 @@ def _relation(a: tuple, b: tuple):
 def _lemma_certificate(lin: _Lin):
     """Certificate of a chain of extreme-label removals (each with one
     axis) ending at an equal-or-reversed pair of 3-label orderings, or
-    None when there is no such chain."""
-    if len(lin.labels) == 3:
-        relation = _relation(*lin.seqs)
-        if relation is None:
-            return None
-        return {
-            "type": "extreme_lemma",
-            "steps": [],
-            "base": {"type": "dim2_non_fixed", "relation": relation},
-        }
-    for a, seq in enumerate(lin.seqs):
-        for e, kind in ((seq[0], "min"), (seq[-1], "max")):
-            cert = _lemma_certificate(lin.drop(e, a))
-            if cert is not None:
-                cert["steps"].insert(0, {"label": e, "axis": lin.axes[a], "extreme": kind})
-                return cert
+    None when there is no such chain.  The search tries axes in order,
+    each axis's minimum before its maximum, and returns the first chain
+    it meets."""
+    index = {lab: i for i, lab in enumerate(lin.labels)}
+    rows = tuple([bytes([index[lab] for lab in seq]) for seq in lin.seqs])
+    return _chain_certificate(lin.labels, lin.axes, rows)
+
+
+def _chain_certificate(labels: tuple, axes: tuple, rows: tuple):
+    """:func:`_lemma_certificate` of the linear configuration whose axis
+    ``axes[i]`` lists ``labels`` in the order of the label indices
+    ``rows[i]`` (bytes)."""
+    if len(rows) == 2:
+        relation = _relation(*rows)
+        found = None if relation is None else ([], relation)
+    else:
+        found = _removal_chain(tuple(range(len(rows))), rows)
+    if found is None:
+        return None
+    steps, relation = found
+    return {
+        "type": "extreme_lemma",
+        "steps": [{"label": labels[v], "axis": axes[a], "extreme": kind} for v, a, kind in reversed(steps)],
+        "base": {"type": "dim2_non_fixed", "relation": relation},
+    }
+
+
+def _removal_chain(axes: tuple, rows: tuple):
+    """:func:`_lemma_certificate`'s search on label indices: ``rows[i]``,
+    one of three or more, is the sequence of axis ``axes[i]`` as bytes.
+    Returns ``(steps, relation)`` with the steps ``(label index, axis
+    index, "min" or "max")`` last first, or None.  Removals that leave two
+    axes are checked here, not by a further call."""
+    last = len(rows) == 3
+    for i, row in enumerate(rows):
+        others = rows[:i] + rows[i + 1 :]
+        for v, kind in ((row[0], "min"), (row[-1], "max")):
+            label = bytes((v,))
+            if last:
+                x, y = [seq.replace(label, b"") for seq in others]
+                found = ([], "equal") if x == y else ([], "reversed") if x == y[::-1] else None
+            else:
+                rest = tuple([seq.replace(label, b"") for seq in others])
+                found = _removal_chain(axes[:i] + axes[i + 1 :], rest)
+            if found is not None:
+                found[0].append((v, axes[i], kind))
+                return found
     return None
 
 

@@ -38,8 +38,10 @@ memo table for n >= 4 is keyed by canonical code (see
 :mod:`simplexfix.equivalence`) with the sign transported through the group
 element's parity; it holds the 16,384 most recently used classes, each as
 an int sign and its marshalled certificate (see :func:`_decide_class`),
-and each lookup unmarshals a certificate of the caller's own.  Concurrent
-insert-or-get races are benign because stored values are canonical.
+and each lookup unmarshals a certificate of the caller's own.  It is the
+only cache on this path: the canonical form is computed afresh for every
+input and expansion child.  Concurrent insert-or-get races are benign
+because stored values are canonical.
 
 Configuration and Ordering are boundary types: they validate input and
 carry the public API.  Past that boundary every path works on label
@@ -51,9 +53,9 @@ decides partial input and finds, on the input itself, every witness
 that follows no certificate; one walker (``_walk_chain``) follows and
 checks extreme-removal chains for witnesses and replay; one ray pass
 (``_ray_pass``) serves chains, partial orders and the landmark scan's
-patterns; replay compares codes under the group action, checks an
-extension by positions, and proves an expansion child's stated sign by
-the child's own certificate, deciding nothing.
+patterns; replay renames the input's sequences by the group element,
+checks an extension by positions, and proves an expansion child's
+stated sign by the child's own certificate, deciding nothing.
 ``_Lin``, the extreme-removal search, the ray pass, :class:`Status` and
 the size limit live in :mod:`simplexfix.criteria`, which the landmark
 scan imports without this module.
@@ -71,7 +73,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -79,6 +80,7 @@ from .criteria import (
     MAX_LABELS,
     InternalCheckError,
     Status,
+    _chain_certificate,
     _filters,
     _lemma_certificate,
     _Lin,
@@ -90,7 +92,7 @@ from .criteria import (
     default_axes,
     default_labels,
 )
-from .equivalence import GroupElement, act, canonical, decode, encode, sign_parity
+from .equivalence import _parity, canonical, decode, encode
 from .orders import (
     Configuration,
     PointAssignment,
@@ -99,7 +101,7 @@ from .orders import (
     det_sign,
     satisfies,
 )
-from .signs import ConfigSign, DetSign, FormalSign, fneg, formal_det_sign_2x2
+from .signs import ConfigSign, DetSign, FormalSign
 
 
 class NotNonFixedError(ValueError):
@@ -165,25 +167,31 @@ def decide_dim1(cfg: Configuration) -> FixityVerdict:
 
 
 def _dim2_verdict(lin: _Lin) -> FixityVerdict:
-    sx, sy = lin.seqs
-    relation = _relation(sx, sy)
+    relation = _relation(*lin.seqs)
     if relation is not None:
         return FixityVerdict(
             Status.NON_FIXED, ConfigSign.BOTH, {"type": "dim2_non_fixed", "relation": relation}
         )
-    # Subtract the column of the middle label of the first axis; the 2x2
-    # formal determinant is then definite (the middle-in-x label is extreme
-    # in y whenever the configuration is fixed).
-    mid = sx[1]
-    col = lin.labels.index(mid)
-    others = [lab for lab in lin.labels if lab != mid]
-    det2 = formal_det_sign_2x2([[lin.diff(q, mid, a) for q in others] for a in (0, 1)])
-    value = det2 if col % 2 == 0 else fneg(det2)
-    if not value.definite:
-        raise InternalCheckError("dimension-2 formal determinant must be definite here")
-    sign = ConfigSign(value.value)
-    cert = {"type": "dim2_fixed", "middle": mid, "sign": str(sign)}
+    sign = ConfigSign(_dim2_fixed_sign(lin))
+    cert = {"type": "dim2_fixed", "middle": lin.seqs[0][1], "sign": str(sign)}
     return FixityVerdict(Status.FIXED, sign, cert)
+
+
+def _dim2_fixed_sign(lin: _Lin) -> int:
+    """The sign, +1 or -1, of three labels whose two orderings are neither
+    equal nor reversed.
+
+    Subtract the column of the middle label of the first axis; the 2x2
+    formal determinant of the differences ``x_q - x_mid`` (+1 when ``q``
+    comes after the middle label, else -1) is then definite, since the
+    middle-in-x label is extreme in y whenever the configuration is fixed.
+    """
+    mid = lin.seqs[0][1]
+    others = [q for q in lin.labels if q != mid]
+    (a, b), (c, d) = [[1 if seq.index(mid) < seq.index(q) else -1 for q in others] for seq in lin.seqs]
+    if a * d != -b * c:
+        raise InternalCheckError("dimension-2 formal determinant must be definite here")
+    return a * d if lin.labels.index(mid) % 2 == 0 else -a * d
 
 
 def decide_dim2(cfg: Configuration) -> FixityVerdict:
@@ -280,8 +288,8 @@ def formally_fixed_by_expansion(cfg: Configuration) -> FixityVerdict:
 
 def _expansion_verdict(lin: _Lin) -> FixityVerdict:
     for e_i in lin.labels:
-        signs = [_lin_sign(lin.drop(e_i, a)) for a in range(len(lin.axes))]
-        if not all(signs):
+        signs = _child_signs(lin, e_i)
+        if signs is None:
             continue
         for e_j in lin.labels:
             if e_j == e_i:
@@ -290,6 +298,19 @@ def _expansion_verdict(lin: _Lin) -> FixityVerdict:
             if value.definite:
                 return _expansion_fixed(lin, e_i, e_j, signs, value)
     return FixityVerdict(Status.UNKNOWN, None, None)
+
+
+def _child_signs(lin: _Lin, e_i) -> list | None:
+    """The signs of the children dropping ``e_i`` and each axis in turn,
+    or None as soon as one is not fixed: the expansion's terms for
+    ``e_i`` then collapse whatever the other label."""
+    signs = []
+    for a in range(len(lin.axes)):
+        sign = _lin_sign(lin.drop(e_i, a))
+        if not sign:
+            return None
+        signs.append(sign)
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +532,8 @@ def _lin_sign(lin: _Lin) -> int:
     """The sign of :func:`_decide_lin`'s verdict as an int, 0 when it is
     not fixed; above three labels it is read from the memo alone."""
     n = len(lin.labels)
+    if n == 3:
+        return 0 if _relation(*lin.seqs) else _dim2_fixed_sign(lin)
     if n < 4:
         return _decide_lin(lin).sign.value
     canon, _, _, _, parity = canonical(encode(lin.labels, lin.seqs), n)
@@ -540,7 +563,7 @@ def _decide_lin(lin: _Lin) -> FixityVerdict:
         "representative": {
             "labels": list(labels),
             "axes": list(default_axes(n - 1)),
-            "sequences": [list(seq) for seq in decode(canon, labels)],
+            "sequences": [[labels[v] for v in canon[i : i + n]] for i in range(0, len(canon), n)],
         },
         "inner": marshal.loads(inner),
     }
@@ -554,14 +577,15 @@ def _decide_class(canon: bytes, n: int) -> tuple:
     garbage collector tracks neither, so its full passes skip the memo.
     Marshal only serves this in-process memo, on certificates built here;
     nothing is read from input or disk."""
-    labels = default_labels(n)
-    rep = _Lin(labels, default_axes(n - 1), decode(canon, labels))
+    labels, axes = default_labels(n), default_axes(n - 1)
     # lemma and expansion are sound for opposite answers, so at most one
     # succeeds; the lemma is cheap and decides most inputs, and at n = 4
     # the two together decide every class
-    verdict = _lemma_verdict(rep)
-    if verdict.status is Status.UNKNOWN:
-        verdict = _expansion_verdict(rep)
+    chain = _chain_certificate(labels, axes, tuple([canon[i : i + n] for i in range(0, len(canon), n)]))
+    if chain is not None:
+        return 0, marshal.dumps(chain)
+    rep = _Lin(labels, axes, decode(canon, labels))
+    verdict = _expansion_verdict(rep)
     if verdict.status is Status.UNKNOWN:
         verdict = _ray_verdict(rep, _chain_filters(rep))
     return verdict.sign.value, marshal.dumps(verdict.certificate)
@@ -570,8 +594,8 @@ def _decide_class(canon: bytes, n: int) -> tuple:
 def _first_extension(cfg: Configuration) -> _Lin:
     """The first linear extension of each axis ordering (see
     :func:`decide`), a linear one's own sequence."""
-    seqs = tuple(o.sequence() if o.is_linear() else o.first_extension() for o in cfg.orders)
-    return _Lin(cfg.labels, cfg.axes, seqs)
+    seqs = [o._sequence or (o.sequence() if o.is_linear() else o.first_extension()) for o in cfg.orders]
+    return _Lin(cfg.labels, cfg.axes, tuple(seqs))
 
 
 def _extension_verdict(cfg: Configuration, lin: _Lin) -> FixityVerdict:
@@ -822,29 +846,40 @@ def _representative(rep: Mapping) -> _Lin:
     labels are distinct, its ``n-1`` axes distinct, and every sequence a
     permutation of the labels (a chain needs no transitivity check)."""
     labels, axes = tuple(rep["labels"]), tuple(rep["axes"])
-    seqs = tuple(tuple(seq) for seq in rep["sequences"])
-    if len(labels) < 2 or len(set(labels)) != len(labels):
+    label_set = set(labels)
+    if len(labels) < 2 or len(label_set) != len(labels):
         raise ValueError("representative labels must be at least two and distinct")
+    seqs = tuple([tuple(seq) for seq in rep["sequences"]])
     if len(set(axes)) != len(axes) or len(axes) != len(labels) - 1 or len(seqs) != len(axes):
         raise ValueError(f"representative needs {len(labels) - 1} distinct axes, one sequence each")
-    for seq in seqs:
-        if len(seq) != len(labels) or set(seq) != set(labels):
-            raise ValueError("representative sequences must list every label exactly once")
+    if any(len(seq) != len(labels) or set(seq) != label_set for seq in seqs):
+        raise ValueError("representative sequences must list every label exactly once")
     return _Lin(labels, axes, seqs)
 
 
 def _unwrap(lin: _Lin, cert: Mapping):
-    """The group element and representative of an ``equivalent``
-    certificate, or None when the element does not map ``lin`` onto the
-    representative; ValueError when either is malformed."""
-    g = GroupElement(
-        tuple(cert["axis_source"]),
-        tuple(cert["label_perm"]),
-        tuple(bool(b) for b in cert["reversals"]),
-    )
+    """The sign parity of an ``equivalent`` certificate's group element and
+    its representative, or None when the element does not map ``lin``
+    onto the representative.  ValueError when the representative is
+    malformed, or the element is not an axis permutation, a label
+    permutation (ints, for ``lin``'s size) and one reversal bit (a bool)
+    per axis."""
+    src, sigma, revs = cert["axis_source"], cert["label_perm"], cert["reversals"]
+    k, n = len(lin.axes), len(lin.labels)
+    if len(revs) != k or not {bool}.issuperset(map(type, revs)):
+        raise ValueError(f"certificate invalid: reversals must be {k} bits, each true or false")
+    for name, perm, size in (("axis_source", src, k), ("label_perm", sigma, n)):
+        if not {int}.issuperset(map(type, perm)) or sorted(perm) != list(range(size)):
+            raise ValueError(f"certificate invalid: {name} must be a permutation of the ints 0..{size - 1}")
     rep = _representative(cert["representative"])
-    image = act(g, encode(lin.labels, lin.seqs), len(lin.labels))
-    return (g, rep) if image == encode(rep.labels, rep.seqs) else None
+    if len(rep.labels) != n:
+        return None
+    rename = dict(zip(lin.labels, [rep.labels[v] for v in sigma]))
+    for a, rev, seq in zip(src, revs, rep.seqs):
+        row = lin.seqs[a][::-1] if rev else lin.seqs[a]
+        if tuple([rename[lab] for lab in row]) != seq:
+            return None
+    return _parity(src, sigma, revs), rep
 
 
 def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
@@ -888,13 +923,12 @@ def _replay_lin(lin: _Lin, status: Status, sign, cert) -> bool:
         unwrapped = _unwrap(lin, cert)
         if unwrapped is None:
             return False
-        g, rep = unwrapped
-        parity = sign_parity(g)
-        if cert["parity"] != str(parity):
+        parity, rep = unwrapped
+        if cert["parity"] != str(FormalSign(parity)):
             return False
         inner_sign = None
         if status is Status.FIXED:
-            inner_sign = ConfigSign(parity.value * sign.value)
+            inner_sign = ConfigSign(parity * sign.value)
         elif status is Status.NON_FIXED:
             inner_sign = ConfigSign.BOTH
         return _replay_lin(rep, status, inner_sign, cert["inner"])

@@ -21,8 +21,10 @@ candidates (``k`` axes) is the orbit minimum; no scan over the ``k! * 2^k``
 axis permutations and reversal masks, and no permutation table, is needed.
 The group element reported is the one the full scan would meet first: the
 least ``(axis_source, reversal mask as an integer)`` reaching the minimum,
-axes with equal sequences taken in index order.  :func:`canonical` caches
-it as three tuples of ints, which the garbage collector does not track.
+axes with equal sequences taken in index order.  Each candidate is one
+:meth:`bytes.translate` per axis, so :func:`canonical` computes the form
+afresh on every call and keeps no cache.  Sign parities count the cycles
+of the two permutations.
 
 The same shape drives class enumeration: a canonical code's later axes
 are reduced (each no greater than its reversal) and sorted, so
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, permutations
 from math import factorial, prod
 from typing import Iterable, Sequence
@@ -45,9 +46,7 @@ from .criteria import InternalCheckError, default_axes, default_labels
 from .orders import Configuration, Ordering
 from .signs import FormalSign
 
-#: canonical forms kept, by input code; the entries are small, and the
-#: bound keeps a long run of distinct configurations from growing memory
-_CACHE_SIZE = 1 << 14
+_IDENTITY = bytes(range(256))
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,23 +98,27 @@ class GroupElement:
         return GroupElement(tuple(src_inv), tuple(sigma_inv), rev)
 
 
+def _parity(axis_source, label_perm, reversals) -> int:
+    """+1 or -1: how the group element with these fields transports the
+    determinant sign.  A permutation of ``m`` items with ``c`` cycles has
+    parity ``(-1)^(m - c)``; each reversed axis flips once more."""
+    flips = sum(reversals)
+    for perm in (axis_source, label_perm):
+        seen = [False] * len(perm)
+        for start in range(len(perm)):
+            if not seen[start]:
+                v = perm[start]
+                while v != start:
+                    seen[v] = True
+                    v = perm[v]
+                    flips += 1
+    return -1 if flips & 1 else 1
+
+
 def sign_parity(g: GroupElement) -> FormalSign:
     """How ``g`` transports the determinant sign: label-permutation parity
     times axis-permutation parity times one flip per reversed axis."""
-    k = len(g.axis_source)
-    parity = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.axis_source[i] > g.axis_source[j]:
-                parity = -parity
-    m = len(g.label_perm)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if g.label_perm[i] > g.label_perm[j]:
-                parity = -parity
-    if sum(g.reversals) % 2:
-        parity = -parity
-    return FormalSign(parity)
+    return FormalSign(_parity(g.axis_source, g.label_perm, g.reversals))
 
 
 def apply(g: GroupElement, cfg: Configuration) -> Configuration:
@@ -134,19 +137,6 @@ def apply(g: GroupElement, cfg: Configuration) -> Configuration:
     return Configuration(cfg.labels, cfg.axes, tuple(new_orders))
 
 
-def act(g: GroupElement, code: bytes, n: int) -> bytes:
-    """:func:`apply` on codes: the code of ``apply(g, c)`` for the linear
-    configuration ``c`` of ``n`` labels with code ``code``."""
-    if len(g.axis_source) * n != len(code) or len(g.label_perm) != n:
-        raise ValueError("group element dimensioned for a different configuration")
-    rename = bytes(g.label_perm) + bytes(256 - n)
-    rows = []
-    for src, rev in zip(g.axis_source, g.reversals):
-        row = code[src * n : (src + 1) * n]
-        rows.append((row[::-1] if rev else row).translate(rename))
-    return b"".join(rows)
-
-
 def encode(labels: Sequence, seqs: Iterable[Sequence]) -> bytes:
     """Code of a linear configuration given by its per-axis sequences."""
     index = {lab: i for i, lab in enumerate(labels)}
@@ -156,9 +146,7 @@ def encode(labels: Sequence, seqs: Iterable[Sequence]) -> bytes:
 def decode(code: bytes, labels: Sequence) -> tuple:
     """Per-axis label sequences of a code."""
     n = len(labels)
-    return tuple(
-        tuple(labels[v] for v in code[i : i + n]) for i in range(0, len(code), n)
-    )
+    return tuple([tuple([labels[v] for v in code[i : i + n]]) for i in range(0, len(code), n)])
 
 
 def code_of(cfg: Configuration) -> bytes:
@@ -168,49 +156,52 @@ def code_of(cfg: Configuration) -> bytes:
     return encode(cfg.labels, (o.sequence() for o in cfg.orders))
 
 
-def _candidates(code: bytes, n: int):
+def _candidates(code: bytes, n: int) -> list:
     """The ``2k`` canonical candidates of a code, one per first input axis
-    ``j`` and reversal bit ``b``.
+    ``j`` and reversal bit ``b``, as ``(tail, j, b, table)``: the candidate
+    code without its identity first axis, and the relabeling as a
+    :meth:`bytes.translate` table (``table[v]`` is the new index of label
+    ``v``).  The tail's axes are the other axes relabeled, each the smaller
+    of its sequence and that sequence's reversal, in sorted order."""
+    rows = [code[i : i + n] for i in range(0, len(code), n)]
+    identity = _IDENTITY[:n]
+    out = []
+    for j, row in enumerate(rows):
+        others = rows[:j] + rows[j + 1 :]
+        for b, first in ((False, row), (True, row[::-1])):
+            table = bytes.maketrans(first, identity)
+            tail = []
+            for seq in others:
+                seq = seq.translate(table)
+                back = seq[::-1]
+                tail.append(back if back < seq else seq)
+            tail.sort()
+            out.append((b"".join(tail), j, b, table))
+    return out
 
-    Yields ``(candidate, j, b, sigma, rest)``: the candidate code without
-    its identity first axis, the relabeling ``sigma`` (``sigma[v]`` is the
-    new index of label ``v``), and the other axes as sorted
-    ``(relabeled sequence, axis index, reversed)`` triples.
-    """
-    k = len(code) // n
-    pad = bytes(256 - n)
-    for j in range(k):
-        row = code[j * n : (j + 1) * n]
-        for b in (False, True):
-            first = row[::-1] if b else row
-            sigma = bytearray(n)
-            for pos, v in enumerate(first):
-                sigma[v] = pos
-            moved = code.translate(bytes(sigma) + pad)
+
+def canonical(code: bytes, n: int) -> tuple:
+    """``(canonical code, axis_source, label_perm, reversals, parity)``: the
+    fields of the element ``g`` mapping ``code`` to it, and ``sign_parity(g).value``."""
+    cands = _candidates(code, n)
+    best = min(cands)[0]
+    elements = []  # (axis_source, reversal mask as an integer, reversals, table)
+    for tail, j, b, table in cands:
+        if tail == best:
+            moved = code.translate(table)
             rest = []
-            for i in range(k):
+            for i in range(len(code) // n):
                 if i != j:
                     seq = moved[i * n : (i + 1) * n]
                     back = seq[::-1]
                     rest.append((back, i, True) if back < seq else (seq, i, False))
             rest.sort()
-            yield b"".join([seq for seq, _, _ in rest]), j, b, sigma, rest
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def canonical(code: bytes, n: int) -> tuple:
-    """``(canonical code, axis_source, label_perm, reversals, parity)``: the
-    fields of the element ``g`` mapping ``code`` to it, and ``sign_parity(g).value``."""
-    cands = list(_candidates(code, n))
-    best = min(cand for cand, *_ in cands)
-    elements = []  # (axis_source, reversal mask as an integer, reversals, sigma)
-    for cand, j, b, sigma, rest in cands:
-        if cand == best:
-            src = (j, *(i for _, i, _ in rest))
-            revs = (b, *(rev for _, _, rev in rest))
-            elements.append((src, sum(r << p for p, r in enumerate(revs)), revs, tuple(sigma)))
-    src, _, revs, sigma = min(elements)
-    return bytes(range(n)) + best, src, sigma, revs, sign_parity(GroupElement(src, sigma, revs)).value
+            src = (j, *[i for _, i, _ in rest])
+            revs = (b, *[rev for _, _, rev in rest])
+            elements.append((src, sum([r << p for p, r in enumerate(revs)]), revs, table))
+    src, _, revs, table = min(elements)
+    sigma = tuple(table[:n])
+    return _IDENTITY[:n] + best, src, sigma, revs, _parity(src, sigma, revs)
 
 
 def _rank(perm: bytes) -> int:
@@ -256,13 +247,10 @@ def orbit_size(cfg: Configuration) -> int:
     """
     n = len(cfg.labels)
     k = n - 1
-    cands = list(_candidates(code_of(cfg), n))
-    best = min(cand for cand, *_ in cands)
-    stabilizer = sum(
-        prod(factorial(m) for m in Counter(seq for seq, _, _ in rest).values())
-        for cand, _, _, _, rest in cands
-        if cand == best
-    )
+    cands = _candidates(code_of(cfg), n)
+    best = min(cands)[0]
+    equal_axes = Counter(best[i : i + n] for i in range(0, len(best), n))
+    stabilizer = sum(tail == best for tail, *_ in cands) * prod(map(factorial, equal_axes.values()))
     return factorial(k) * factorial(n) * 2**k // stabilizer
 
 
@@ -287,7 +275,7 @@ def enumerate_classes(n: int, allow_long: bool = False) -> list:
     out = []
     for rest in combinations_with_replacement(reduced, n - 2):
         code = identity + b"".join(rest)
-        if min(cand for cand, *_ in _candidates(code, n)) == code[n:]:
+        if min(_candidates(code, n))[0] == code[n:]:
             out.append(Configuration.from_sequences(labels, axes, decode(code, labels)))
     return out
 

@@ -120,6 +120,12 @@ class Ordering:
         label_set = set(labels)
         if len(label_set) != len(labels):
             raise ValueError("duplicate labels")
+        return cls._chain(sequence, labels, label_set)
+
+    @classmethod
+    def _chain(cls, sequence: tuple, labels: tuple, label_set: set) -> "Ordering":
+        """:meth:`chain` on ``labels`` already shown distinct, ``label_set``
+        their set."""
         if len(sequence) != len(labels) or set(sequence) != label_set:
             raise ValueError("chain must list every label exactly once")
         self = cls._unchecked(labels, frozenset(combinations(sequence, 2)))
@@ -137,6 +143,8 @@ class Ordering:
         return (e, f) in self.pairs or (f, e) in self.pairs
 
     def is_linear(self) -> bool:
+        if self._sequence is not None:
+            return True
         n = len(self.labels)
         return len(self.pairs) == n * (n - 1) // 2
 
@@ -294,9 +302,14 @@ class Configuration:
 
     @classmethod
     def from_sequences(cls, labels: Sequence, axes: Sequence, sequences: Sequence) -> "Configuration":
-        """Linear configuration from per-axis increasing label sequences."""
+        """Linear configuration from per-axis increasing label sequences;
+        the labels are checked once for every chain."""
         labels = tuple(labels)
-        return cls(labels, tuple(axes), tuple(Ordering.chain(seq, labels) for seq in sequences))
+        label_set = set(labels)
+        if len(label_set) != len(labels):
+            raise ValueError("duplicate labels")
+        orders = tuple([Ordering._chain(tuple(seq), labels, label_set) for seq in sequences])
+        return cls(labels, tuple(axes), orders)
 
     @classmethod
     def from_pairs(cls, labels: Sequence, axes: Sequence, pairs_by_axis: Mapping) -> "Configuration":

@@ -7,18 +7,16 @@ show its effect on collection pauses.
 
 States, each from empty caches:
 
-* ``canonical_cache``: ``equivalence.canonical`` filled to its bound with
-  distinct seeded n = 5 codes;
 * ``decide_memo``: ``decide`` on seeded linear n = 5 and n = 6
-  configurations without ``clear_memo``, which fills the class memo and
-  the canonical cache as a long-running caller would;
+  configurations without ``clear_memo``, which fills the class memo as a
+  long-running caller would;
 * ``stream``: seeded passes of fresh linear configurations, each decided
   and its certificate replayed, with ``clear_memo`` before every pass, the
   shape of the benchmark's ``highdim`` workload: n = 5 ones grown from the
   fixed n = 4 classes (a fifth label inserted on each axis, and a random
   fourth axis), random n = 5 ones and random n = 6 ones.
 
-For the first two, each line gives the state's entries, the tracked
+For ``decide_memo``, the line gives the state's entries, the tracked
 objects it added (after two collections, since a full pass can meet a
 tuple before the tuples it holds are untracked), the process's tracked
 total, and the median and maximum of five timed full collections in ms.
@@ -42,17 +40,8 @@ from simplexfix import (
     replay_certificate,
 )
 
-N5_CODES = equivalence._CACHE_SIZE
 MEMO_N5, MEMO_N6 = 4000, 200
 STREAM_PASSES, STREAM_GROWN5, STREAM_N5, STREAM_N6 = 160, 160, 60, 12
-
-
-def _seeded_codes(n: int, count: int, seed: str) -> set:
-    rng = random.Random(seed)
-    codes = set()
-    while len(codes) < count:
-        codes.add(bytes(v for _ in range(n - 1) for v in rng.sample(range(n), n)))
-    return codes
 
 
 def _seeded_linear(n: int, count: int, seed: str) -> list:
@@ -83,13 +72,6 @@ def _stream_pass(rng: random.Random, fixed4: list):
             yield Configuration.from_sequences(labels, axes, [rng.sample(labels, n) for _ in axes])
 
 
-def _fill_canonical() -> int:
-    codes = _seeded_codes(5, N5_CODES, "gc-probe:5")
-    for code in codes:
-        equivalence.canonical(code, 5)
-    return equivalence.canonical.cache_info().currsize
-
-
 def _fill_decide_memo() -> int:
     for n, count in ((5, MEMO_N5), (6, MEMO_N6)):
         for cfg in _seeded_linear(n, count, f"gc-probe:{n}"):
@@ -98,7 +80,6 @@ def _fill_decide_memo() -> int:
 
 
 def probe(fill) -> str:
-    equivalence.canonical.cache_clear()
     engine.clear_memo()
     gc.collect()
     before = len(gc.get_objects())
@@ -119,7 +100,6 @@ def probe(fill) -> str:
 
 
 def stream() -> str:
-    equivalence.canonical.cache_clear()
     engine.clear_memo()
     gc.collect()
     pauses, started = [], []
@@ -154,8 +134,7 @@ def stream() -> str:
 
 
 def main() -> int:
-    for name, fill in (("canonical_cache", _fill_canonical), ("decide_memo", _fill_decide_memo)):
-        print(f"{name} {probe(fill)}")
+    print(f"decide_memo {probe(_fill_decide_memo)}")
     print(f"stream {stream()}")
     return 0
 

@@ -261,6 +261,53 @@ def test_extreme_lemma_examples():
     assert replay_certificate(tangled, verdict)
 
 
+def reference_lemma_certificate(lin):
+    """The extreme-removal search as first written, recursing on ``_Lin``
+    views: the reference for which chain the search returns first."""
+    from simplexfix.criteria import _relation
+
+    if len(lin.labels) == 3:
+        relation = _relation(*lin.seqs)
+        if relation is None:
+            return None
+        base = {"type": "dim2_non_fixed", "relation": relation}
+        return {"type": "extreme_lemma", "steps": [], "base": base}
+    for a, seq in enumerate(lin.seqs):
+        for e, kind in ((seq[0], "min"), (seq[-1], "max")):
+            cert = reference_lemma_certificate(lin.drop(e, a))
+            if cert is not None:
+                cert["steps"].insert(0, {"label": e, "axis": lin.axes[a], "extreme": kind})
+                return cert
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_chain_search_returns_the_reference_chain(n):
+    # one label first on every axis and the others shifted one place per
+    # axis has no chain at n >= 4; its images under the symmetry group
+    # have none either, and random inputs mostly have one
+    from simplexfix.criteria import _Lin, _lemma_certificate
+
+    rng = random.Random(f"chain-reference:{n}")
+    labels = tuple(f"p{i}" for i in range(n))
+    axes = tuple(f"a{i}" for i in range(n - 1))
+    rest = labels[1:]
+    cyclic = [(labels[0], *rest[i:], *rest[:i]) for i in range(n - 1)]
+    found = Counter()
+    for t in range(120 if n < 7 else 60):
+        if n > 3 and t % 4 == 0:
+            rename = dict(zip(labels, rng.sample(labels, n)))
+            oriented = [s[::-1] if rng.random() < 0.5 else s for s in rng.sample(cyclic, n - 1)]
+            seqs = [tuple(rename[lab] for lab in s) for s in oriented]
+        else:
+            seqs = [tuple(rng.sample(labels, n)) for _ in axes]
+        lin = _Lin(labels, axes, tuple(seqs))
+        want = reference_lemma_certificate(lin)
+        assert _lemma_certificate(lin) == want, seqs
+        found["none" if want is None else "chain"] += 1
+    assert found["none"] and found["chain"]
+
+
 def tampered(verdict, edit, sign=None):
     cert = copy.deepcopy(verdict.certificate)
     edit(cert)
@@ -842,6 +889,38 @@ def test_replay_refuses_malformed_representatives(edit):
             FIXED5,
             tampered(verdict, lambda c: REPRESENTATIVE_EDITS[edit](c["representative"])),
         )
+
+
+def _as_bools(perm):
+    return [v if v > 1 else bool(v) for v in perm]
+
+
+GROUP_ELEMENT_EDITS = {
+    "truthy words for reversal bits": lambda c: c.update(
+        reversals=["yes" if r else 0 for r in c["reversals"]]
+    ),
+    "ints for reversal bits": lambda c: c.update(reversals=[int(r) for r in c["reversals"]]),
+    "missing reversal bit": lambda c: c["reversals"].pop(),
+    "floats in label_perm": lambda c: c.update(label_perm=[float(v) for v in c["label_perm"]]),
+    "bools in label_perm": lambda c: c.update(label_perm=_as_bools(c["label_perm"])),
+    "repeated label_perm entry": lambda c: c["label_perm"].__setitem__(0, c["label_perm"][1]),
+    "label_perm for another size": lambda c: c["label_perm"].append(len(c["label_perm"])),
+    "floats in axis_source": lambda c: c.update(axis_source=[float(v) for v in c["axis_source"]]),
+    "bools in axis_source": lambda c: c.update(axis_source=_as_bools(c["axis_source"])),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(GROUP_ELEMENT_EDITS))
+def test_replay_refuses_malformed_group_elements(edit):
+    # bits were once read with bool(), so "yes" and 0 replayed as True and
+    # False, and float permutation entries raised TypeError
+    verdict = decide(FIXED5)
+    assert verdict.certificate["type"] == "equivalent"
+    bad = tampered(verdict, GROUP_ELEMENT_EDITS[edit])
+    with pytest.raises(ValueError, match="certificate invalid"):
+        replay_certificate(FIXED5, bad)
+    with pytest.raises(ValueError, match="certificate invalid"):
+        build_witness(FIXED5, bad)
 
 
 def test_memo_is_bounded_and_eviction_keeps_verdicts(monkeypatch):

@@ -1,6 +1,5 @@
 """Group action laws, canonical forms, class enumeration and counting."""
 
-import gc
 import random
 from itertools import permutations, product
 from math import factorial
@@ -23,7 +22,7 @@ from simplexfix import (
     orbit_size,
     sign_parity,
 )
-from simplexfix.equivalence import canonical, code_of, default_axes, default_labels
+from simplexfix.equivalence import canonical, code_of, decode, default_axes, default_labels
 from conftest import XYZ, fixed_n4_configs
 
 
@@ -179,22 +178,46 @@ def test_canonical_form_idempotent_and_orbit_invariant():
         assert moved_canon == canon
 
 
-def test_canonical_cache_holds_nothing_the_collector_tracks():
-    # a full collection walks every tracked object, so a cache of group
-    # elements made each one cost time in proportion to the cache
-    rng = random.Random("untracked-cache")
-    codes = {bytes(b for _ in range(4) for b in rng.sample(range(5), 5)) for _ in range(2000)}
-    canonical.cache_clear()
-    gc.collect()
-    before = len(gc.get_objects())
-    results = [canonical(code, 5) for code in codes]
-    del results
-    # a full pass may meet a tuple before the tuples it holds are untracked
-    gc.collect()
-    gc.collect()
-    assert canonical.cache_info().currsize == len(codes) > 1900
-    assert len(gc.get_objects()) - before < 100
-    assert not gc.is_tracked(canonical(next(iter(codes)), 5))
+def seeded_codes(rng, n, count):
+    """Linear codes of ``n`` labels, some of whose axes repeat or reverse
+    an earlier axis, so that several candidates can reach the minimum."""
+    codes = []
+    for _ in range(count):
+        rows = []
+        for _ in range(n - 1):
+            r = rng.random()
+            if rows and r < 0.2:
+                rows.append(rng.choice(rows))
+            elif rows and r < 0.4:
+                rows.append(rng.choice(rows)[::-1])
+            else:
+                rows.append(bytes(rng.sample(range(n), n)))
+        codes.append(b"".join(rows))
+    return codes
+
+
+def inversion_parity(g):
+    """The sign parity of ``g`` by counting inverted pairs."""
+    flips = sum(g.reversals)
+    for perm in (g.axis_source, g.label_perm):
+        flips += sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if flips % 2 else 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_canonical_parity_is_the_sign_parity_of_its_element(n):
+    # canonical and sign_parity count cycles; both must agree with the
+    # inversion count of the element canonical reports, which maps the
+    # code onto the canonical code
+    rng = random.Random(f"canonical-parity:{n}")
+    labels, axes = default_labels(n), default_axes(n - 1)
+    for code in seeded_codes(rng, n, 300):
+        canon, src, sigma, revs, parity = canonical(code, n)
+        g = GroupElement(src, sigma, revs)
+        cfg = Configuration.from_sequences(labels, axes, decode(code, labels))
+        assert code_of(apply(g, cfg)) == canon
+        assert parity == sign_parity(g).value == inversion_parity(g)
+        assert canonical(canon, n)[0] == canon
 
 
 def test_canonical_form_rejects_partial():
